@@ -163,6 +163,50 @@ def _keep_survivors(survivors_ref):
     return fn
 
 
+def _written_stats(part_dir: str) -> dict:
+    """Lineage stats of a written shard, read in-process from just the
+    parquet columns they need (no Dataset re-scan). A shard with no rows
+    has no parquet file."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    files = sorted(
+        os.path.join(part_dir, f) for f in os.listdir(part_dir)
+        if f.endswith(".parquet")
+    )
+    cols = ["doc_id", "n_spans_out", "n_blocks", "n_span_errors"]
+    if files and "tenant_id" in pq.read_schema(files[0]).names:
+        cols.append("tenant_id")
+    t = (
+        pq.ParquetDataset(files).read(columns=cols)
+        if files
+        else pa.table({c: [] for c in cols})
+    )
+
+    def total(name: str) -> int:
+        return int(pc.sum(t.column(name)).as_py() or 0)
+
+    ids = [d for d in t.column("doc_id").to_pylist() if d]
+    # per-tenant doc counts (reference tenant scoping made auditable: the
+    # manifest shows whose documents a shard holds; {} when the corpus
+    # carries no tenant column)
+    tenants: dict[str, int] = {}
+    if "tenant_id" in cols:
+        for v in pc.value_counts(t.column("tenant_id")).to_pylist():
+            tenants[str(v["values"])] = int(v["counts"])
+    return {
+        "doc_id_min": min(ids, default=""),
+        "doc_id_max": max(ids, default=""),
+        "n_docs": t.num_rows,
+        "n_spans_out": total("n_spans_out"),
+        "n_blocks": total("n_blocks"),
+        # dead-letter surfacing (reference FAILED-job analogue): spans whose
+        # media could not be parsed/rendered — 0 on a healthy corpus
+        "n_span_errors": total("n_span_errors"),
+        "n_docs_by_tenant": dict(sorted(tenants.items())),
+    }
+
+
 def run_shard(
     plan: ShardPlan,
     out_dir: str,
@@ -245,37 +289,7 @@ def run_shard(
             file=sys.stderr,
         )
 
-    # gather lineage stats from the written shard (cheap: metadata + one scan)
-    def _stats_batch(t: pa.Table) -> pa.Table:
-        # per-tenant doc counts (reference tenant scoping made auditable:
-        # the manifest shows whose documents a shard holds)
-        tenants: dict[str, int] = {}
-        if "tenant_id" in t.column_names:
-            vc = pa.compute.value_counts(t.column("tenant_id"))
-            tenants = {
-                str(v["values"]): int(v["counts"]) for v in vc.to_pylist()
-            }
-        return pa.Table.from_pydict(
-            {
-                "n_docs": [t.num_rows],
-                "n_spans_out": [int(pa.compute.sum(t.column("n_spans_out")).as_py() or 0)],
-                "n_blocks": [int(pa.compute.sum(t.column("n_blocks")).as_py() or 0)],
-                "n_span_errors": [
-                    int(pa.compute.sum(t.column("n_span_errors")).as_py() or 0)
-                ],
-                "doc_min": [min(t.column("doc_id").to_pylist(), default="")],
-                "doc_max": [max(t.column("doc_id").to_pylist(), default="")],
-                "tenants": [json.dumps(tenants, sort_keys=True)],
-            }
-        )
-
-    written = rd.read_parquet(tmp_dir)
-    agg = written.map_batches(_stats_batch, batch_format="pyarrow").take_all()
-    n_docs = sum(r["n_docs"] for r in agg)
-    tenant_counts: dict[str, int] = {}
-    for r in agg:
-        for t_id, n in json.loads(r.get("tenants") or "{}").items():
-            tenant_counts[t_id] = tenant_counts.get(t_id, 0) + n
+    st = _written_stats(tmp_dir)
     wall = time.perf_counter() - t0
 
     shutil.rmtree(part_dir, ignore_errors=True)
@@ -287,23 +301,14 @@ def run_shard(
             "hash_mod": list(plan.hash_mod) if plan.hash_mod else None,
             "input_path": plan.input_path,
         },
-        "doc_id_min": min((r["doc_min"] for r in agg if r["doc_min"]), default=""),
-        "doc_id_max": max((r["doc_max"] for r in agg), default=""),
-        "n_docs": n_docs,
-        "n_spans_out": sum(r["n_spans_out"] for r in agg),
-        "n_blocks": sum(r["n_blocks"] for r in agg),
-        # dead-letter surfacing (reference FAILED-job analogue): spans whose
-        # media could not be parsed/rendered — 0 on a healthy corpus
-        "n_span_errors": sum(r["n_span_errors"] for r in agg),
-        # per-tenant doc counts ({} when the corpus carries no tenant column)
-        "n_docs_by_tenant": dict(sorted(tenant_counts.items())),
+        **st,
         "n_shards": n_shards,
         "config_sig": sig
         if sig is not None
         else config_sig(cfg, overrides, two_phase, result_overrides),
         "content_sha256": _content_sha256(part_dir),
         "wall_time_s": round(wall, 4),
-        "docs_per_s": round(n_docs / wall, 3) if wall > 0 else None,
+        "docs_per_s": round(st["n_docs"] / wall, 3) if wall > 0 else None,
         "two_phase": two_phase,
         "stage_times": stage_times,
         "status": "DONE",

@@ -13,8 +13,12 @@ Physical design (SURVEY §4, §7.4):
   per-bucket batch sizes over a materialized prepared boundary (still one
   scan; costs the pipelining overlap — measured +4 s at sf0.1, which is
   why it is opt-in).
-- stateful stages are actor pools (model state in ``__init__``);
-  ``concurrency`` sized from the cluster so no stage starves the others.
+- the extract stages are task maps over callable stage instances: stage
+  state (glyph templates) is built at import once per worker process, and
+  Ray reuses task workers across Datasets in a session, so no actor pool
+  starts per Dataset (a two-phase job executes one per shard and phase).
+  Task maps also let Ray Data fuse the normalize prefix into the stage's
+  operator, and cannot reserve every CPU the way a fixed actor pool can.
 """
 
 from __future__ import annotations
@@ -41,53 +45,34 @@ class PipelineOptions:
     heavy_batch_size: int = 2       # bucketed mode: one heavy doc can't straggle a batch
     uniform_batch_size: int = 32    # uniform mode (measured best of 8/16/32/64 at sf0.1)
     skew_mode: str = "uniform"      # "uniform" | "bucketed" (extreme heavy tails)
-    concurrency: tuple[int, int] | int | None = None  # actor pool size; None -> derive
+    # cap on concurrent stage tasks (a tuple's upper bound); None -> no cap
+    concurrency: tuple[int, int] | int | None = None
     num_cpus: float = 1.0
     num_gpus: float = 0.0           # plumbed through for GPU clusters; 0 in sandbox
     # retry budget (reference: Celery autoretry <=3/<=2, ocr_tasks.py:58-65;
-    # here: Ray actor restarts + per-task retries, lineage re-executes blocks)
-    max_restarts: int = 2
+    # here: per-task retries of a crashed worker, lineage re-executes
+    # blocks). Ray Data's task default retries forever, so a poison row
+    # that kills its worker would loop.
     max_task_retries: int = 3
 
-    def pool(self) -> tuple[int, int] | int:
-        if self.concurrency is not None:
-            return self.concurrency
-        try:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpu = 8
-        slots = max(2, int(ncpu / max(self.num_cpus, 0.25)))
-        # autoscaling (min, max): uniform mode runs ONE pool, so pre-warm
-        # half the CPUs (ramping from 1 is too slow); bucketed mode runs two
-        # pools, so a quarter each. Never reserve them all — a fixed pool of
-        # ncpu actors starves the upstream task stages and deadlocks the
-        # streaming executor.
-        div = 4 if self.skew_mode == "bucketed" else 2
-        return (max(1, slots // div), slots)
-
-    def slots(self) -> int:
-        if isinstance(self.concurrency, tuple):
-            return self.concurrency[1]
-        if isinstance(self.concurrency, int):
-            return self.concurrency
-        pool = self.pool()
-        return pool[1] if isinstance(pool, tuple) else pool
-
-    def use_buckets(self) -> bool:
-        """Bucketed mode needs >= 4 actor slots: each branch pre-starts one
-        actor, and the upstream task stages need CPUs too — on a 2-CPU
-        session the minimum actors alone reserve every CPU and the pipeline
-        deadlocks. Uniform mode (default) never branches."""
-        return self.skew_mode == "bucketed" and self.slots() >= 4
-
-    def actor_kwargs(self) -> dict:
-        kw: dict = {
+    def task_kwargs(self) -> dict:
+        """``map_batches`` arguments of the prepare maps. The stage map
+        takes the same remote args, so Ray Data fuses prepare and stage
+        into one operator when no cap or GPU sets them apart."""
+        return {
+            "batch_format": "pyarrow",
             "num_cpus": self.num_cpus,
-            "max_restarts": self.max_restarts,
-            "max_task_retries": self.max_task_retries,
+            "max_retries": self.max_task_retries,
         }
+
+    def stage_kwargs(self) -> dict:
+        """``map_batches`` arguments of the stage map: ``task_kwargs`` plus
+        the GPU slot and the cap on concurrent stage tasks."""
+        kw = self.task_kwargs()
         if self.num_gpus:
             kw["num_gpus"] = self.num_gpus
+        cap = self.concurrency
+        kw["concurrency"] = cap[1] if isinstance(cap, tuple) else cap
         return kw
 
 
@@ -132,7 +117,7 @@ def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
                 )
         return pa.Table.from_pylist(rows, schema=DOCUMENTS_TENANT_SCHEMA)
 
-    # A single small parquet file reads as ~16 blocks; downstream actor-pool
+    # A single small parquet file reads as ~16 blocks; downstream stage-task
     # parallelism equals block count, so split up front to ~2 blocks per CPU
     # (real corpora arrive in many files and skip this).
     try:
@@ -153,19 +138,20 @@ def scope_tenant(ds: rd.Dataset, tenant_id: str) -> rd.Dataset:
     return ds.filter(expr=f"tenant_id == '{tenant_id}'")
 
 
-def _prepared(ds: rd.Dataset) -> rd.Dataset:
+def _prepared(ds: rd.Dataset, opts: PipelineOptions | None = None) -> rd.Dataset:
     """Cheap vectorized prefix: span counts (skew key) + text normalize."""
-    ds = ds.map_batches(count_spans_batch, batch_format="pyarrow")
-    return ds.map_batches(normalize_spans_batch, batch_format="pyarrow")
+    kw = (opts or PipelineOptions()).task_kwargs()
+    ds = ds.map_batches(count_spans_batch, **kw)
+    return ds.map_batches(normalize_spans_batch, **kw)
 
 
-def _bucketed(
-    ds: rd.Dataset, stage_cls, opts: PipelineOptions, fn_constructor_kwargs: dict
-) -> rd.Dataset:
-    """Skew-handled actor stage over already-prepared rows (must carry
-    ``n_image_spans``).
+def _bucketed(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
+    """Skew-handled stage over already-prepared rows (must carry
+    ``n_image_spans``). ``stage`` is a callable stage instance; Ray Data runs
+    it as a task map, so no pool starts per Dataset and the prepare maps
+    fuse into the stage's operator.
 
-    Default ("uniform"): ONE actor pool with a moderate uniform batch size.
+    Default ("uniform"): ONE task map with a moderate uniform batch size.
     Single scan, zero branches, full streaming overlap; batch-cost variance
     is bounded because batch cost is a 32-doc sum (see module docstring).
 
@@ -174,28 +160,21 @@ def _bucketed(
     lazy Dataset re-executes the shared prefix per branch (round 1 read +
     normalized the corpus twice); materializing first pins the prepared
     blocks in the object store (spilling to local disk beyond memory), at
-    the cost of the read/actor-startup overlap (~+4 s at sf0.1). Two other
+    the cost of the read/stage overlap (~+4 s at sf0.1). Two other
     designs were measured and rejected: the lazy two-branch split (2x read
     at any scale) and a generator rebatch stage feeding a
-    ``batch_size=None`` actor stage (yielded chunks are re-coalesced by the
-    output block builder up to target_max_block_size, so the actors saw
+    ``batch_size=None`` stage (yielded chunks are re-coalesced by the
+    output block builder up to target_max_block_size, so the stage saw
     giant mixed batches). Every row passes the expensive stage exactly
     once in all modes."""
-    common = dict(
-        batch_format="pyarrow",
-        concurrency=opts.pool(),
-        fn_constructor_kwargs=fn_constructor_kwargs,
-        **opts.actor_kwargs(),
-    )
-    if not opts.use_buckets():
-        return ds.map_batches(
-            stage_cls, batch_size=opts.uniform_batch_size, **common
-        )
+    kw = opts.stage_kwargs()
+    if opts.skew_mode != "bucketed":
+        return ds.map_batches(stage, batch_size=opts.uniform_batch_size, **kw)
     prepared = ds.materialize()
     light = prepared.filter(expr=f"n_image_spans < {opts.heavy_threshold}")
     heavy = prepared.filter(expr=f"n_image_spans >= {opts.heavy_threshold}")
-    out_light = light.map_batches(stage_cls, batch_size=opts.light_batch_size, **common)
-    out_heavy = heavy.map_batches(stage_cls, batch_size=opts.heavy_batch_size, **common)
+    out_light = light.map_batches(stage, batch_size=opts.light_batch_size, **kw)
+    out_heavy = heavy.map_batches(stage, batch_size=opts.heavy_batch_size, **kw)
     return out_light.union(out_heavy)
 
 
@@ -211,9 +190,7 @@ def build_extract_pipeline(
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _bucketed(
-        _prepared(ds), ExtractStage, opts, {"cfg": cfg, "overrides_ref": ov_ref}
-    )
+    return _bucketed(_prepared(ds, opts), ExtractStage(cfg, ov_ref), opts)
 
 
 def apply_result_overrides(
@@ -296,7 +273,7 @@ def build_detect_pipeline(
     with the embedded ``detect`` column. Checkpoint this to parquet."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
-    return _bucketed(_prepared(ds), DetectStage, opts, {"cfg": cfg})
+    return _bucketed(_prepared(ds, opts), DetectStage(cfg), opts)
 
 
 def build_recognize_pipeline(
@@ -312,6 +289,4 @@ def build_recognize_pipeline(
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _bucketed(
-        detected, RecognizeStage, opts, {"cfg": cfg, "overrides_ref": ov_ref}
-    )
+    return _bucketed(detected, RecognizeStage(cfg, ov_ref), opts)

@@ -1,1 +1,2 @@
-"""Ray Data stages: vectorized stateless transforms + stateful actor stages."""
+"""Ray Data stages: vectorized stateless transforms + the extract stages
+(task maps over a stage instance)."""

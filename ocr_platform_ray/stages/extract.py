@@ -1,26 +1,30 @@
-"""Stateful actor stages: detect, recognize, fused extract.
+"""Extract stages: detect, recognize, fused extract.
 
 Mirrors the reference's per-process model singletons (``@lru_cache``
 detector/recognizer — /root/reference/libs/ocr_core/ocr_core/pipeline/
-detect.py:68-82, engines/vietocr_engine.py:47-53): state (config, glyph
-templates, broadcast override table) is built once per actor in
-``__init__``; ``__call__`` processes an Arrow batch of document rows.
-Deploy with ``ds.map_batches(Cls, concurrency=N, batch_size=B)``; in a GPU
+detect.py:68-82, engines/vietocr_engine.py:47-53): state is per worker
+process — glyph templates build when this module is imported, and the
+broadcast override table is resolved once per process, memoized by its
+ref. A stage instance holds only its config and that ref; ``__call__``
+processes an Arrow batch of document rows. Deploy as a task map with
+``ds.map_batches(Cls(cfg, overrides_ref), batch_size=B)``; in a GPU
 deployment these stages take ``num_gpus`` (the sandbox is CPU-only — the
 knob is plumbed through PipelineOptions).
 
 Per batch, the heavy work (render/detect/decode) is numpy-vectorized per
 image; row iteration is only orchestration. Overrides are the human-edit
 analogue (PATCH /jobs/{id}/detect): a small table broadcast once via
-``ray.put`` and resolved in ``__init__`` — never re-shipped per batch.
+``ray.put`` — never re-shipped per batch or pickled into the task.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
-from .. import font  # noqa: F401  (imported so templates build at actor init)
+from .. import font  # noqa: F401  (imported so templates build once per worker)
 from ..kernels import recognizek
 from ..kernels.extract import (
     ExtractConfig,
@@ -60,13 +64,16 @@ def _with_passthrough(out: pa.Table, batch: pa.Table) -> pa.Table:
     return out
 
 
-def _resolve(obj):
-    """Resolve a broadcast ObjectRef (or pass through a plain value)."""
+@functools.lru_cache(maxsize=8)
+def _override_lookup(overrides_ref) -> dict:
+    """Per-worker memo of a broadcast override table's lookup, keyed by its
+    ObjectRef: resolved and indexed once per process, not per batch. The
+    returned dict is shared by every caller, which only reads it."""
+    if overrides_ref is None:
+        return {}
     import ray
 
-    if isinstance(obj, ray.ObjectRef):
-        return ray.get(obj)
-    return obj
+    return overrides_to_lookup(ray.get(overrides_ref))
 
 
 def _spans_flat(batch: pa.Table):
@@ -265,9 +272,10 @@ class RecognizeStage:
 
     def __init__(self, cfg: ExtractConfig | None = None, overrides_ref=None):
         self.cfg = cfg or ExtractConfig()
-        self.overrides = overrides_to_lookup(_resolve(overrides_ref))
+        self.overrides_ref = overrides_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        overrides = _override_lookup(self.overrides_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
         img_j, img_rows = _image_span_indices(off, kinds)
@@ -293,7 +301,7 @@ class RecognizeStage:
             entry = det_by_row[r].get(i)
             if entry is None:
                 continue  # dead-lettered at detect (already counted)
-            ov = self.overrides.get((doc_ids[r], i))
+            ov = overrides.get((doc_ids[r], i))
             if ov is not None:
                 boxes = ov
             else:
@@ -334,16 +342,17 @@ class RecognizeStage:
 
 
 class ExtractStage:
-    """Fused detect+recognize (reference ``run_ocr`` analogue): one actor
+    """Fused detect+recognize (reference ``run_ocr`` analogue): a single
     stage, no intermediate detect materialization, each raster decoded once
     and shared by both kernels. Produces exactly what DetectStage ->
     RecognizeStage produces (same kernels, deterministic)."""
 
     def __init__(self, cfg: ExtractConfig | None = None, overrides_ref=None):
         self.cfg = cfg or ExtractConfig()
-        self.overrides = overrides_to_lookup(_resolve(overrides_ref))
+        self.overrides_ref = overrides_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        overrides = _override_lookup(self.overrides_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
         img_j, img_rows = _image_span_indices(off, kinds)
@@ -357,7 +366,7 @@ class ExtractStage:
             try:
                 boxes, counts, strips = prepare_image_span(
                     refs[j], self.cfg,
-                    override_boxes=self.overrides.get((doc_ids[r], i)),
+                    override_boxes=overrides.get((doc_ids[r], i)),
                 )
             except (ValueError, KeyError, IndexError, OverflowError):
                 prepared[j] = None  # dead-letter: counted below

@@ -95,6 +95,24 @@ def test_overrides_applied(docs):
     assert any(expected_ov[d] != base[d] for d in base)
 
 
+def test_override_table_resolved_once_per_process(docs):
+    """A stage instance ships only the override table's ref (it is pickled
+    into every task); the table is fetched and indexed once per worker
+    process, memoized by that ref."""
+    import ray
+
+    from ocr_platform_ray.stages import extract as stages
+
+    ov = corpus.generate_overrides(docs, seed=7)
+    stage = stages.ExtractStage(ExtractConfig(), ray.put(ov))
+    assert vars(stage).keys() == {"cfg", "overrides_ref"}
+    stages._override_lookup.cache_clear()
+    batch = corpus.docs_to_table(docs[:8])
+    assert stage(batch) == stage(batch)
+    info = stages._override_lookup.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_result_overrides_applied(docs):
     """Result-override table (PATCH /jobs/{id}/result analogue) replaces a
     doc's whole extracted span sequence at merge; untouched docs unchanged."""

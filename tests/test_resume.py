@@ -366,3 +366,20 @@ def test_invalidate_unknown_doc_is_noop(input_path, tmp_path):
     )
     assert summary["shards_ran"] == []
     assert sorted(summary["shards_skipped"]) == list(range(N_SHARDS))
+
+
+def test_empty_shard_commits_zero_manifest(tmp_path):
+    """A shard left with no rows (here: a tenant with no documents) writes
+    no parquet file; it still commits, with zero counts."""
+    import pyarrow as pa
+
+    tbl = corpus.generate_corpus_table(12, seed=5)
+    tbl = tbl.append_column("tenant_id", pa.array(["t0"] * tbl.num_rows))
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(tbl, path)
+    out = str(tmp_path / "out")
+    summary = run_job(path, out, n_shards=2, opts=OPTS, tenant="t1")
+    assert summary["shards_ran"] == [0, 1] and summary["n_docs"] == 0
+    for m in load_manifests(out):
+        assert (m["n_docs"], m["n_blocks"], m["doc_id_min"]) == (0, 0, "")
+        assert m["n_docs_by_tenant"] == {}
