@@ -105,6 +105,15 @@ _TPL_MATMUL: dict[int, tuple[np.ndarray, np.ndarray]] = {
 }
 
 
+# Char code of every (width group, template) pair, groups in sorted width
+# order as _decode_group walks them, for array-built decoded text.
+_GROUP_BASE = np.cumsum([0] + [len(TPL_BY_WIDTH[w][0]) for w in sorted(TPL_BY_WIDTH)])[:-1]
+_CHAR_CODES = np.asarray(
+    [ord(ch) for w in sorted(TPL_BY_WIDTH) for ch in TPL_BY_WIDTH[w][0]], dtype=np.uint32
+)
+_BAND_SEP = "\x00"  # never a decoded char
+
+
 def text_width(text: str, s: int) -> int:
     """Pixel width of ``text`` rendered at scale ``s`` (no trailing gap).
 
@@ -280,9 +289,8 @@ def _decode_group(
     shift = pad_off[band_of] - grid_off[:-1][band_of]
     x0 = px0 - shift
     x1 = px1 - shift
-    # runs per band, in band order (runs come out sorted by position)
+    # first run of each band (runs come out sorted by position)
     run_lo = np.searchsorted(band_of, np.arange(len(pend)), side="left")
-    run_hi = np.searchsorted(band_of, np.arange(len(pend)), side="right")
     wrun = x1 - x0
     n = len(x0)
     best_hits = np.full(n, -1, dtype=np.int64)
@@ -291,7 +299,6 @@ def _decode_group(
     best_group = np.zeros(n, dtype=np.int64)
     widths = sorted(TPL_BY_WIDTH)
     for gi, width in enumerate(widths):
-        tchars, _tmats = TPL_BY_WIDTH[width]
         tflat, tpop = _TPL_MATMUL[width]
         j = np.arange(width)
         cc = x0[:, None] + np.minimum(
@@ -321,16 +328,19 @@ def _decode_group(
         best_cells = np.where(better, sim_den, best_cells)
         best_k = np.where(better, k, best_k)
         best_group = np.where(better, gi, best_group)
-    group_chars = [TPL_BY_WIDTH[w][0] for w in widths]
     confs = best_hits / best_cells
-
-    # assemble per band (runs are sorted by position so per-band slices
-    # are contiguous; gap math uses grid coordinates — band offsets cancel)
-    for b, (bi, _g, _col_on, gap) in enumerate(pend):
-        lo, hi = int(run_lo[b]), int(run_hi[b])
-        chars: list[str] = []
-        for i in range(lo, hi):  # string assembly only — no numpy here
-            if i > lo and (x0[i] - x1[i - 1]) > gap:
-                chars.append(" ")
-            chars.append(group_chars[best_group[i]][best_k[i]])
-        results[bi] = ("".join(chars), float(confs[lo:hi].min()))
+    # assemble every band's text at once: each run's char code, a space
+    # before a run whose gap to the previous run of its band exceeds the
+    # band's space gap, a separator after each band; one decode, one split
+    gaps = np.asarray([gap for (_bi, _g, _col_on, gap) in pend], dtype=np.int64)
+    space = np.zeros(n, dtype=bool)
+    space[1:] = (band_of[1:] == band_of[:-1]) & ((x0[1:] - x1[:-1]) > gaps[band_of[1:]])
+    pos = np.arange(n) + np.cumsum(space) + band_of
+    text = np.full(n + int(space.sum()) + len(pend), ord(_BAND_SEP), dtype="<u4")
+    text[pos] = _CHAR_CODES[_GROUP_BASE[best_group] + best_k]
+    text[pos[space] - 1] = ord(" ")
+    texts = text.tobytes().decode("utf-32-le").split(_BAND_SEP)
+    # every pending band has at least one run, so run_lo is strictly rising
+    conf_min = np.minimum.reduceat(confs, run_lo).tolist()
+    for (bi, _g, _col_on, _gap), t, c in zip(pend, texts, conf_min):
+        results[bi] = (t, c)

@@ -3822,6 +3822,21 @@ def gap_quantiles(
     return rd.from_arrow(pa.Table.from_pydict(cols))
 
 
+# a per-user type bitmask is an int64: bits 0..62, so at most 63 types
+MAX_MASK_TYPES = 63
+
+
+def _type_bits(types: list) -> dict:
+    """Sorted distinct event types -> {type: 1 << rank}. Raises ValueError
+    past MAX_MASK_TYPES types instead of overflowing the int64 mask."""
+    if len(types) > MAX_MASK_TYPES:
+        raise ValueError(
+            f"{len(types)} distinct event types: the per-user bitmask "
+            f"holds at most {MAX_MASK_TYPES} (int64)"
+        )
+    return {t: 1 << i for i, t in enumerate(types)}
+
+
 def user_segment_profile(ds: rd.Dataset) -> rd.Dataset:
     """Audience segment algebra: every user collapses to a BITMASK of
     the event types they ever performed (bit = rank of the type in the
@@ -3851,7 +3866,7 @@ def user_segment_profile(ds: rd.Dataset) -> rd.Dataset:
         distinct_partial, batch_format="pyarrow"
     ).materialize()
     types = sorted(dp.unique("event_type"))
-    bit = {t: 1 << i for i, t in enumerate(types)}
+    bit = _type_bits(types)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "event_type"])
@@ -3968,7 +3983,7 @@ def type_user_overlap(ds: rd.Dataset) -> rd.Dataset:
         distinct_partial, batch_format="pyarrow"
     ).materialize()
     types = sorted(dp.unique("event_type"))
-    bit = {t: 1 << i for i, t in enumerate(types)}
+    bit = _type_bits(types)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "event_type"])

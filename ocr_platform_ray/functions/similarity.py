@@ -353,21 +353,8 @@ def centroid_distances(ds: rd.Dataset, max_labels: int = 100_000) -> rd.Dataset:
         partial, batch_format="pyarrow"
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        total = None
-        for b in g["vec_sum"]:
-            v = np.frombuffer(b, dtype=np.float64)
-            total = v.copy() if total is None else total + v
-        n = int(g["n"].sum())
-        return pd.DataFrame(
-            {
-                "label": [int(g["label"].iloc[0])],
-                "mean": [(total / n).tobytes()],
-            }
-        )
-
     rows = partials.groupby("label").map_groups(
-        merge, batch_format="pandas"
+        _merge_centroid, batch_format="pandas"
     ).take(max_labels + 1)
     if len(rows) > max_labels:
         raise ValueError(
@@ -1261,6 +1248,23 @@ def pq_topk_cosine(
     return exact.sort(["cos_sim", id_col], descending=[True, False]).limit(k)
 
 
+def _merge_centroid(g: pd.DataFrame) -> pd.DataFrame:
+    """One label's (vec_sum, n) partials -> its mean vector. Each component
+    is a ``math.fsum`` (exactly rounded), so the mean does not depend on
+    the order in which the groupby hands over the partials."""
+    import math
+
+    sums = np.stack([np.frombuffer(b, dtype=np.float64) for b in g["vec_sum"]])
+    total = np.array([math.fsum(col) for col in sums.T.tolist()], dtype=np.float64)
+    n = int(g["n"].sum())
+    return pd.DataFrame(
+        {
+            "label": [int(g["label"].iloc[0])],
+            "mean": [(total / n).tobytes()],
+        }
+    )
+
+
 def label_margin(ds: rd.Dataset, max_labels: int = 100_000) -> rd.Dataset:
     """Mislabel-candidate audit: per vector, the euclidean margin
     d_own − d_nearest_other between its OWN label centroid and the
@@ -1301,21 +1305,8 @@ def label_margin(ds: rd.Dataset, max_labels: int = 100_000) -> rd.Dataset:
         partial, batch_format="pyarrow"
     )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        total = None
-        for b in g["vec_sum"]:
-            v = np.frombuffer(b, dtype=np.float64)
-            total = v.copy() if total is None else total + v
-        n = int(g["n"].sum())
-        return pd.DataFrame(
-            {
-                "label": [int(g["label"].iloc[0])],
-                "mean": [(total / n).tobytes()],
-            }
-        )
-
     rows = partials.groupby("label").map_groups(
-        merge, batch_format="pandas"
+        _merge_centroid, batch_format="pandas"
     ).take(max_labels + 1)
     if len(rows) > max_labels:
         raise ValueError(

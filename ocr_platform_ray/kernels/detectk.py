@@ -33,94 +33,120 @@ from .recognizek import MAX_SINGLE_LINE_HEIGHT
 Box = tuple[int, int, int, int]
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    if mask.size == 0:
-        return []
-    idx = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
-    return [(int(idx[i]), int(idx[i + 1])) for i in range(0, len(idx), 2)]
+# bit 7 of every byte of a uint64 word: a byte has it set exactly when it
+# is > 127, so OR-ing words and testing these bits is ``max(...) > 127``
+_HIGH_BITS = np.uint64(0x8080808080808080)
 
 
-def propose_polygons(img: np.ndarray) -> np.ndarray:
-    """Grayscale (h, w) -> float32 polygons (N, 4, 2) in x,y corner order.
+def work_shape(h: int, w: int, max_side: int = 0) -> tuple[int, int, float]:
+    """-> (h, w) of the raster detect runs on and the factor that scales
+    its boxes back to input coordinates (the optional max-side shrink,
+    detect.py:91-96; 1.0 when off or when the raster already fits).
 
-    One pass, no per-band Python loop: per-band column profiles come from
-    a single ``logical_or.reduceat`` over the rows (interleaved band/gap
-    segment indices, gap rows discarded), ink column-runs for ALL bands
-    from one diff over the zero-padded profile matrix (per-row padding
-    keeps runs from crossing band boundaries in the flattened view), and
-    the gap-merge from one vectorized compare with band-change breaks.
-    Identical output to the per-band run-walk this replaces — bands in
-    row order, segments in column order (pinned by TestDetect and the
-    conformance suite)."""
-    h_img, w = img.shape
-    row_any = img.max(axis=1) > 127  # no full-image binar materialization
-    idx = np.flatnonzero(np.diff(np.concatenate(([0], row_any.view(np.int8), [0]))))
-    if idx.size == 0:
-        return np.zeros((0, 4, 2), dtype=np.float32)
-    r0s, r1s = idx[0::2], idx[1::2]
-    # segments [r0_i, r1_i) are bands, [r1_i, r0_i+1) gaps; a trailing
-    # r1 == h_img is not a valid reduceat index and the final segment
-    # runs to the end anyway
-    inds = np.empty(2 * len(r0s), dtype=np.int64)
-    inds[0::2] = r0s
-    inds[1::2] = r1s
-    if inds[-1] == h_img:
-        inds = inds[:-1]
-    # per-band column max (uint8) > 127 == logical_or.reduceat of (img>127)
-    profiles = np.maximum.reduceat(img, inds, axis=0)[0 : 2 * len(r0s) : 2] > 127
-    # ink column-runs of every band in one diff over the padded profiles
-    padded = np.zeros((len(r0s), w + 2), dtype=np.int8)
-    padded[:, 1:-1] = profiles
-    d = np.diff(padded.ravel())
-    run_idx = np.flatnonzero(d)
-    starts, ends = run_idx[0::2] + 1, run_idx[1::2] + 1
-    if starts.size == 0:
-        return np.zeros((0, 4, 2), dtype=np.float32)
-    band_of = starts // (w + 2)
-    rc0 = starts % (w + 2) - 1
-    rc1 = ends % (w + 2) - 1
-    # segment starts: band changes always break; within a single-line
-    # band a gap wider than the band height breaks; paragraph bands
-    # (taller than one line) merge every run
-    h_band = (r1s - r0s)[band_of]
-    is_start = np.empty(len(starts), dtype=bool)
-    is_start[0] = True
-    same = band_of[1:] == band_of[:-1]
-    gap_break = (rc0[1:] - rc1[:-1]) > h_band[1:]
-    para = h_band[1:] > MAX_SINGLE_LINE_HEIGHT
-    is_start[1:] = ~same | (gap_break & ~para)
-    seg_i = np.flatnonzero(is_start)
-    seg_j = np.append(seg_i[1:], len(starts)) - 1
-    c0 = rc0[seg_i]
-    c1 = rc1[seg_j]
-    r0b = r0s[band_of[seg_i]]
-    r1b = r1s[band_of[seg_i]]
-    segs = np.empty((len(seg_i), 4), dtype=np.int64)
-    segs[:, 0] = c0
-    segs[:, 1] = c1
-    segs[:, 2] = r0b
-    segs[:, 3] = r1b
-    c0, c1, r0s, r1s = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
-    polys = np.empty((len(segs), 4, 2), dtype=np.float32)
-    polys[:, 0, 0] = c0
-    polys[:, 0, 1] = r0s
-    polys[:, 1, 0] = c1
-    polys[:, 1, 1] = r0s
-    polys[:, 2, 0] = c1
-    polys[:, 2, 1] = r1s
-    polys[:, 3, 0] = c0
-    polys[:, 3, 1] = r1s
-    return polys
+    Raises ValueError for a zero-width work raster: the row reduction has
+    no identity there, so such a span is a dead letter. A zero-height one
+    just has no ink."""
+    scale = 1.0
+    if max_side > 0:
+        s = max(h, w) / max_side
+        if s > 1:
+            scale = s
+            h, w = int(h / s), int(w / s)
+    if w == 0:
+        raise ValueError("zero-width raster: no row to reduce")
+    return h, w, scale
 
 
-def reduce_polygons(raw: np.ndarray | None, scale: float) -> list[Box]:
-    """Exact reference reduction (detect.py:99-119): min/max per polygon,
-    validity filter, rescale when shrunk, int cast."""
-    if raw is None:
-        return []
-    arr = np.asarray(raw, dtype=np.float32)
-    if arr.size == 0:
-        return []
+class Canvas:
+    """``n`` rasters of one (h, w) shape stacked on one zeroed uint8
+    canvas, so detect runs once per shape group, not once per image.
+
+    Slot k is rows [k(h+1), k(h+1)+h) and columns [0, w); the blank row
+    after each slot keeps ink bands from crossing images, and the width
+    is padded to a multiple of 8 so every row views as uint64 words.
+    Render straight into ``slot(k)`` to hold each raster once."""
+
+    def __init__(self, n: int, h: int, w: int):
+        self.n, self.h, self.w = n, h, w
+        self.pixels = np.zeros((n * (h + 1), -(-w // 8) * 8), dtype=np.uint8)
+
+    def slot(self, k: int) -> np.ndarray:
+        r = k * (self.h + 1)
+        return self.pixels[r : r + self.h, : self.w]
+
+    def boxes(self, scales: list[float]) -> list[list[Box]]:
+        """Per-slot boxes in proposal order (bands top to bottom, segments
+        left to right), scaled back by each slot's factor. The polygons
+        of the whole group are reduced in one vectorized step."""
+        c0, c1, r0, r1 = self._segments()
+        owner = r0 // (self.h + 1)
+        top = owner * (self.h + 1)
+        polys = np.empty((len(c0), 4, 2), dtype=np.float32)
+        polys[:, 0::3, 0] = c0[:, None]
+        polys[:, 1:3, 0] = c1[:, None]
+        polys[:, 0:2, 1] = (r0 - top)[:, None]
+        polys[:, 2:4, 1] = (r1 - top)[:, None]
+        scale = np.asarray(scales, dtype=np.float64)[owner]
+        valid, x1, y1, x2, y2 = _reduce(polys, scale)
+        bounds = np.searchsorted(owner[valid], np.arange(self.n + 1)).tolist()
+        flat = list(zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()))
+        return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _segments(self) -> tuple[np.ndarray, ...]:
+        """Text segments of the whole canvas as int arrays (c0, c1, r0, r1),
+        exclusive ends, canvas coordinates, in row-then-column order.
+
+        Horizontal bands are runs of rows holding ink; a band taller than
+        MAX_SINGLE_LINE_HEIGHT is one paragraph segment, a shorter one is
+        split on blank column runs wider than the band. One pass, no
+        per-band or per-image loop: row ink and per-band column ink are
+        OR-reductions over uint64 words (one ``reduceat`` over the rows,
+        gap segments discarded), the ink column-runs of every band come
+        from one diff over the zero-padded profile matrix (the padding
+        keeps runs inside their band), and the gap merge is one compare
+        with band-change breaks. Pinned against a scalar per-band walk by
+        tests/test_properties.py."""
+        words = self.pixels.view(np.uint64)
+        row_any = (np.bitwise_or.reduce(words, axis=1) & _HIGH_BITS) != 0
+        idx = np.flatnonzero(np.diff(np.concatenate(([0], row_any.view(np.int8), [0]))))
+        r0s, r1s = idx[0::2], idx[1::2]
+        if r0s.size == 0:
+            return r0s, r0s, r0s, r0s
+        # segments [r0_i, r1_i) are bands, [r1_i, r0_i+1) gaps; the last
+        # band ends at or before the final (blank) separator row, so every
+        # index is a valid reduceat index
+        inds = np.empty(2 * len(r0s), dtype=np.int64)
+        inds[0::2] = r0s
+        inds[1::2] = r1s
+        band_words = np.bitwise_or.reduceat(words, inds, axis=0)[0::2]
+        wp = self.pixels.shape[1] + 2
+        padded = np.zeros((len(r0s), wp), dtype=np.int8)
+        padded[:, 1:-1] = band_words.view(np.uint8) > 127
+        run_idx = np.flatnonzero(np.diff(padded.ravel()))
+        starts, ends = run_idx[0::2] + 1, run_idx[1::2] + 1
+        band_of = starts // wp
+        rc0 = starts % wp - 1
+        rc1 = ends % wp - 1
+        # segment starts: band changes always break; within a single-line
+        # band a gap wider than the band height breaks; paragraph bands
+        # (taller than one line) merge every run
+        h_band = (r1s - r0s)[band_of]
+        is_start = np.empty(len(starts), dtype=bool)
+        is_start[0] = True
+        same = band_of[1:] == band_of[:-1]
+        gap_break = (rc0[1:] - rc1[:-1]) > h_band[1:]
+        para = h_band[1:] > MAX_SINGLE_LINE_HEIGHT
+        is_start[1:] = ~same | (gap_break & ~para)
+        seg_i = np.flatnonzero(is_start)
+        seg_j = np.append(seg_i[1:], len(starts)) - 1
+        return rc0[seg_i], rc1[seg_j], r0s[band_of[seg_i]], r1s[band_of[seg_i]]
+
+
+def _reduce(arr: np.ndarray, scale):
+    """Reference reduction (detect.py:99-119) of float32 polygons (N, 4, 2):
+    min/max per polygon, validity filter, rescale where the factor is > 1
+    (float32 arithmetic, as with a scalar factor), int cast. ``scale`` is
+    one factor or one per polygon. -> (valid mask, x1, y1, x2, y2)."""
     xs = arr[..., 0]
     ys = arr[..., 1]
     x_min = xs.min(axis=1)
@@ -128,34 +154,40 @@ def reduce_polygons(raw: np.ndarray | None, scale: float) -> list[Box]:
     y_min = ys.min(axis=1)
     y_max = ys.max(axis=1)
     valid = (x_max > x_min) & (y_max > y_min)
-    x1 = x_min[valid]
-    y1 = y_min[valid]
-    x2 = x_max[valid]
-    y2 = y_max[valid]
-    if scale > 1:
-        x1, x2 = x1 * scale, x2 * scale
-        y1, y2 = y1 * scale, y2 * scale
-    return list(
-        zip(
-            x1.astype(int).tolist(),
-            y1.astype(int).tolist(),
-            x2.astype(int).tolist(),
-            y2.astype(int).tolist(),
-        )
+    f = np.asarray(scale, dtype=np.float64)
+    f = np.where(f > 1, f, 1.0).astype(np.float32)
+    if f.ndim:
+        f = f[valid]
+    return (
+        valid,
+        (x_min[valid] * f).astype(int),
+        (y_min[valid] * f).astype(int),
+        (x_max[valid] * f).astype(int),
+        (y_max[valid] * f).astype(int),
     )
 
 
+def reduce_polygons(raw: np.ndarray | None, scale: float) -> list[Box]:
+    """Exact reference reduction (detect.py:99-119) of one image's
+    polygons: min/max per polygon, validity filter, rescale when shrunk,
+    int cast."""
+    if raw is None:
+        return []
+    arr = np.asarray(raw, dtype=np.float32)
+    if arr.size == 0:
+        return []
+    _valid, x1, y1, x2, y2 = _reduce(arr, scale)
+    return list(zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()))
+
+
 def detect_boxes(img: np.ndarray, max_side: int = 0) -> list[Box]:
-    """Full detect path (detect.py:85-119): optional max-side shrink before
-    proposal, proposals, exact reduction with scale-back to input coords.
+    """Full detect path for one raster (detect.py:85-119) — a batch of one
+    on the shared canvas kernel: optional max-side shrink, proposals,
+    exact reduction with scale-back to input coordinates.
 
     ``max_side=0`` (the shipped default) disables the shrink.
     """
-    h0, w0 = img.shape[:2]
-    scale = 1.0
-    work = img
-    if max_side > 0:
-        scale = max(h0, w0) / max_side
-        if scale > 1:
-            work = resize_nearest(img, int(w0 / scale), int(h0 / scale))
-    return reduce_polygons(propose_polygons(work), scale)
+    h, w, scale = work_shape(*img.shape[:2], max_side)
+    canvas = Canvas(1, h, w)
+    canvas.slot(0)[...] = resize_nearest(img, w, h)
+    return canvas.boxes([scale])[0]

@@ -15,14 +15,19 @@ SURVEY §7.5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .. import media
 from . import detectk, order, recognizek
-from .preprocess import DEFAULT_MAX_SIDE, preprocess
+from .preprocess import DEFAULT_MAX_SIDE, preprocess, resize_nearest
 from .textnorm import normalize_text
 
 Box = tuple[int, int, int, int]
+
+# what a poison span raises: a malformed media_ref, an unrenderable or
+# undetectable raster, an invalid override box
+DEAD_LETTER_ERRORS = (ValueError, KeyError, IndexError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,64 @@ def detect_image(
     boxes = detectk.detect_boxes(img, max_side=cfg.detect_max_side)
     idx = order.reading_order(boxes)
     return [boxes[i] for i in idx], w, h
+
+
+def detect_batch(
+    refs: list[str],
+    cfg: ExtractConfig,
+    override_boxes: "list[list[Box] | None] | None" = None,
+) -> Iterator[tuple[int, "object | None", list[Box]]]:
+    """Render and detect a whole stage batch: one ``detectk.Canvas`` per
+    shape group (detect's post-shrink shape), each raster rendered once,
+    straight into its canvas slot when no shrink applies.
+
+    Yields ``(k, raster, boxes)`` per ``refs[k]``: detected boxes in
+    reading order, or ``override_boxes[k]`` as given (array order, no
+    sort, no detect). A span whose media cannot be rendered or detected —
+    exactly where ``prepare_image_span`` raises — yields ``(k, None, [])``
+    (a dead letter). Override spans come first, then one shape group at a
+    time, so the batch's canvases are not all alive at once."""
+    groups: dict[tuple[int, int], list[tuple[int, int, int, float]]] = {}
+    for k, ref in enumerate(refs):
+        ov = override_boxes[k] if override_boxes is not None else None
+        try:
+            if ov is None:
+                h, w = media.raster_shape(ref)
+                gh, gw, scale = detectk.work_shape(h, w, cfg.detect_max_side)
+                groups.setdefault((gh, gw), []).append((k, h, w, scale))
+                continue
+            item = (k, media.render(ref), _int_boxes(ov))
+        except DEAD_LETTER_ERRORS:
+            item = (k, None, [])
+        yield item
+    for (gh, gw), members in groups.items():
+        try:
+            canvas = detectk.Canvas(len(members), gh, gw)
+        except DEAD_LETTER_ERRORS:  # dims too big for numpy, like render's
+            for k, _h, _w, _scale in members:
+                yield k, None, []
+            continue
+        rasters = []
+        for slot, (k, h, w, _scale) in enumerate(members):
+            try:
+                if (h, w) == (gh, gw):
+                    img = media.render(refs[k], out=canvas.slot(slot))
+                else:
+                    img = media.render(refs[k])
+                    canvas.slot(slot)[...] = resize_nearest(img, gw, gh)
+            except DEAD_LETTER_ERRORS:
+                img = None  # any ink it left in its slot stays in its slot
+            rasters.append(img)
+        found = canvas.boxes([m[3] for m in members])
+        for (k, _h, _w, _scale), img, boxes in zip(members, rasters, found):
+            if img is None:
+                yield k, None, []
+            else:
+                yield k, img, [boxes[i] for i in order.reading_order(boxes)]
+
+
+def _int_boxes(boxes: list) -> list[Box]:
+    return [(int(x1), int(y1), int(x2), int(y2)) for (x1, y1, x2, y2) in boxes]
 
 
 def prepare_recognize(
@@ -204,7 +267,7 @@ def prepare_image_span(
     img = media.render(ref)  # decode once; both stages share the raster
     if override_boxes is not None:
         h, w = img.shape[:2]
-        boxes = [(int(x1), int(y1), int(x2), int(y2)) for (x1, y1, x2, y2) in override_boxes]
+        boxes = _int_boxes(override_boxes)
     else:
         boxes, w, h = detect_image(ref, cfg, img=img)
     strips, counts = prepare_recognize(ref, boxes, w, h, cfg, img=img)
@@ -223,7 +286,7 @@ def safe_extract_image_span(
     or rendered contributes zero blocks and is counted as an error."""
     try:
         return extract_image_span(ref, cfg, span_idx, override_boxes), False
-    except (ValueError, KeyError, IndexError, OverflowError):
+    except DEAD_LETTER_ERRORS:
         return [], True
 
 

@@ -18,7 +18,8 @@ Replicates, exactly, the reference's conformance-critical arithmetic:
   postprocess.py:4-6): whitespace strip only.
 
 The VietOCR network itself is replaced by the deterministic glyph-template
-decoder in ``font.decode_band`` (dominant ink band per strip).
+decoder ``font.decode_bands`` over each strip's dominant ink band
+(``decode_strips``).
 """
 
 from __future__ import annotations
@@ -92,89 +93,52 @@ def strip_bounds(crop_h: int, original_height_px: int | None) -> list[tuple[int,
     return strips
 
 
-def strip_band(strip: np.ndarray) -> "np.ndarray | None":
-    """Dominant ink band of a strip (tallest, ties topmost) as a binarized
-    slice; None for a blank strip. Binarizes only the winning band's rows
-    (row-ink via a per-row max reduction, not a full-strip bool)."""
-    row_any = strip.max(axis=1) > 127
-    if not row_any.any():
-        return None
-    idx = np.flatnonzero(np.diff(np.concatenate(([0], row_any.view(np.int8), [0]))))
-    bands = [(int(idx[i]), int(idx[i + 1])) for i in range(0, len(idx), 2)]
-    r0, r1 = max(bands, key=lambda b: (b[1] - b[0], -b[0]))
-    return strip[r0:r1] > 127
+def _dominant_bands(strips: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Dominant ink band of every strip at once: the tallest run of rows
+    holding ink (> 127), ties topmost. -> (strip index, r0, r1) for the
+    strips that have ink.
 
-
-def decode_strip(strip: np.ndarray) -> tuple[str, float]:
-    """One strip -> (text, conf): dominant ink band decoded by
-    glyph-template match; blank strip -> ("", 1.0)."""
-    band = strip_band(strip)
-    if band is None:
-        return "", 1.0
-    return font.decode_band(band)
-
-
-def _row_ink_by_shape(strips: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-strip row-ink bool vectors, the 2D reductions batched: strips
-    are grouped by shape, stacked, and reduced in ONE ``max(axis=2)``
-    call per group (a handful of distinct strip shapes per batch vs one
-    numpy dispatch per strip). Exactly ``strip.max(axis=1) > 127`` each."""
-    from collections import defaultdict
-
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for i, s in enumerate(strips):
-        groups[s.shape].append(i)
-    out: list[np.ndarray] = [None] * len(strips)  # type: ignore[list-item]
-    for idxs in groups.values():
-        stack = np.stack([strips[i] for i in idxs])
-        ink = stack.max(axis=2) > 127
-        for j, i in enumerate(idxs):
-            out[i] = ink[j]
-    return out
-
-
-def _band_from_row_ink(strip: np.ndarray, row_any: np.ndarray):
-    """Dominant band given the strip's precomputed row-ink vector —
-    the tail of ``strip_band`` (same selection rule, same binarize)."""
-    if not row_any.any():
-        return None
-    idx = np.flatnonzero(np.diff(np.concatenate(([0], row_any.view(np.int8), [0]))))
-    bands = [(int(idx[i]), int(idx[i + 1])) for i in range(0, len(idx), 2)]
-    r0, r1 = max(bands, key=lambda b: (b[1] - b[0], -b[0]))
-    return strip[r0:r1] > 127
+    All pixels go into one flat buffer, so the row test for every row of
+    every strip is one ``maximum.reduceat``; the row-ink runs of all
+    strips come from one diff (a zero between strips keeps runs inside
+    their strip), and one lexsort picks each strip's winner."""
+    n = len(strips)
+    hs = np.array([s.shape[0] for s in strips], dtype=np.int64)
+    ws = np.array([s.shape[1] for s in strips], dtype=np.int64)
+    hr = np.where(ws > 0, hs, 0)  # a zero-width strip has no ink rows
+    sizes = hr * ws
+    pix_off = np.cumsum(sizes) - sizes
+    row_off = np.cumsum(hr) - hr
+    n_rows = int(hr.sum())
+    sid_row = np.repeat(np.arange(n), hr)
+    row_start = pix_off[sid_row] + (np.arange(n_rows) - row_off[sid_row]) * ws[sid_row]
+    vec = np.zeros(n_rows + n + 1, dtype=np.int8)
+    if n_rows:
+        flat = np.concatenate([s.ravel() for s in strips])
+        vec[np.arange(n_rows) + sid_row + 1] = np.maximum.reduceat(flat, row_start) > 127
+    edges = np.flatnonzero(np.diff(vec)) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    base = row_off + np.arange(n) + 1  # position of each strip's row 0 in vec
+    sid = np.searchsorted(base, starts, side="right") - 1
+    r0 = starts - base[sid]
+    r1 = ends - base[sid]
+    order = np.lexsort((r0, r0 - r1, sid))  # by strip, tallest, topmost
+    first = order[np.flatnonzero(np.diff(sid[order], prepend=-1))]
+    return sid[first], r0[first], r1[first]
 
 
 def decode_strips(strips: list[np.ndarray]) -> list[tuple[str, float]]:
-    """Batched decode: shape-grouped row-ink reductions, band extraction
-    per strip, then ONE vectorized template-matching pass over all bands
-    (``font.decode_bands``) — identical results to per-strip
-    ``decode_strip``, far fewer tiny numpy dispatches on the hot path."""
-    row_ink = _row_ink_by_shape(strips)
-    bands = [_band_from_row_ink(s, r) for s, r in zip(strips, row_ink)]
-    live = [i for i, b in enumerate(bands) if b is not None]
-    decoded = font.decode_bands([bands[i] for i in live])
+    """Decode strips batch-wide -> (text, conf) each: a strip's dominant
+    ink band (tallest run of ink rows, ties topmost) decoded by glyph
+    template match; a blank strip -> ("", 1.0). The band choice is one
+    vectorized pass over every strip (``_dominant_bands``), the decode
+    one template-matching pass over every band (``font.decode_bands``)."""
+    ids, r0s, r1s = (a.tolist() for a in _dominant_bands(strips))
+    bands = [strips[i][a:b] > 127 for i, a, b in zip(ids, r0s, r1s)]
     out: list[tuple[str, float]] = [("", 1.0)] * len(strips)
-    for j, i in enumerate(live):
-        out[i] = decoded[j]
+    for i, res in zip(ids, font.decode_bands(bands)):
+        out[i] = res
     return out
-
-
-def recognize_crop(crop_img: np.ndarray, original_height_px: int | None) -> tuple[str, float]:
-    """Reference ``_predict_one_crop_maybe_multiline`` (vietocr_engine.py:103-127):
-    1 strip -> predict on the full crop; N strips -> per-strip predict,
-    join with "\\n", conf = min."""
-    bounds = strip_bounds(crop_img.shape[0], original_height_px)
-    if not bounds:
-        bounds = [(0, crop_img.shape[0])]
-    if len(bounds) == 1:
-        return decode_strip(crop_img)
-    texts: list[str] = []
-    probs: list[float] = []
-    for y1, y2 in bounds:
-        t, p = decode_strip(crop_img[y1:y2])
-        texts.append(t)
-        probs.append(p)
-    return "\n".join(texts), (min(probs) if probs else 1.0)
 
 
 def postprocess_texts(texts: list[str]) -> list[str]:

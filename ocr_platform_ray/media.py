@@ -120,10 +120,27 @@ def _layout(ref: str):
     return w, h, s, paragraph, lines
 
 
-def render(ref: str) -> np.ndarray:
-    """ref -> uint8 raster (h, w), values {0, 255}. Deterministic."""
+def raster_shape(ref: str) -> tuple[int, int]:
+    """(h, w) of ``render(ref)`` without rendering it. Raises ValueError
+    where ``render`` would on the ref's dimensions (malformed or negative)."""
+    _seed, _span_idx, w, h, _n_lines = parse_ref(ref)
+    if w < 0 or h < 0:
+        raise ValueError(f"bad media_ref dims: {ref!r}")
+    return h, w
+
+
+def render(ref: str, out: np.ndarray | None = None) -> np.ndarray:
+    """ref -> uint8 raster (h, w), values {0, 255}. Deterministic.
+
+    ``out``, when given, is a zeroed (h, w) uint8 array (e.g. a detect
+    canvas slot) that receives the raster and is returned."""
     w, h, s, _paragraph, lines = _layout(ref)
-    img = np.zeros((h, w), dtype=np.uint8)
+    if out is None:
+        img = np.zeros((h, w), dtype=np.uint8)
+    elif out.shape != (h, w):
+        raise ValueError(f"out shape {out.shape} != {(h, w)} for {ref!r}")
+    else:
+        img = out
     for y, segments in lines:
         for x, text in segments:
             block = font.render_line(text, s)

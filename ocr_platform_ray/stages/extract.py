@@ -11,8 +11,10 @@ processes an Arrow batch of document rows. Deploy as a task map with
 deployment these stages take ``num_gpus`` (the sandbox is CPU-only — the
 knob is plumbed through PipelineOptions).
 
-Per batch, the heavy work (render/detect/decode) is numpy-vectorized per
-image; row iteration is only orchestration. Overrides are the human-edit
+Per batch, the heavy work runs batch-wide: detect on one canvas per
+image-shape group (``kernels.extract.detect_batch``), decode over every
+strip of the batch at once (``recognizek.decode_strips``); row iteration
+is only orchestration. Overrides are the human-edit
 analogue (PATCH /jobs/{id}/detect): a small table broadcast once via
 ``ray.put`` — never re-shipped per batch or pickled into the task.
 """
@@ -27,10 +29,10 @@ import pyarrow as pa
 from .. import font  # noqa: F401  (imported so templates build once per worker)
 from ..kernels import recognizek
 from ..kernels.extract import (
+    DEAD_LETTER_ERRORS,
     ExtractConfig,
-    detect_image,
+    detect_batch,
     finish_recognize,
-    prepare_image_span,
     prepare_recognize,
     safe_extract_image_span,  # noqa: F401  (re-exported; oracle/test surface)
 )
@@ -229,21 +231,23 @@ class DetectStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         off, kinds, _texts, refs, _offs = _spans_flat(batch)
         img_j, img_rows = _image_span_indices(off, kinds)
+        detected: list[tuple | None] = [None] * len(img_j)
+        for k, img, boxes in detect_batch([refs[j] for j in img_j.tolist()], self.cfg):
+            if img is not None:
+                detected[k] = (img.shape[1], img.shape[0], boxes)
         detect_col: list[list] = [[] for _ in range(batch.num_rows)]
         err_col = [0] * batch.num_rows
-        for j, r in zip(img_j.tolist(), img_rows.tolist()):
-            i = j - int(off[r])
-            try:
-                boxes, w, h = detect_image(refs[j], self.cfg)
-            except (ValueError, KeyError, IndexError, OverflowError):
+        for j, r, d in zip(img_j.tolist(), img_rows.tolist(), detected):
+            if d is None:
                 # dead-letter: malformed media_ref -> no detect entry ->
                 # recognize emits nothing for this span; counted so the
                 # shard manifest surfaces it
                 err_col[r] += 1
                 continue
+            w, h, boxes = d
             detect_col[r].append(
                 {
-                    "span_idx": i,
+                    "span_idx": j - int(off[r]),
                     "width": w,
                     "height": h,
                     "boxes": [
@@ -312,7 +316,7 @@ class RecognizeStage:
                 strips, counts = prepare_recognize(
                     refs[j], boxes, entry["width"], entry["height"], self.cfg,
                 )
-            except (ValueError, KeyError, IndexError, OverflowError):
+            except DEAD_LETTER_ERRORS:
                 # recognize-phase poison (e.g. an invalid override box):
                 # count it like the fused path's safe_extract wrapper
                 # instead of crashing the shard
@@ -356,20 +360,27 @@ class ExtractStage:
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
         img_j, img_rows = _image_span_indices(off, kinds)
-        # Phase 1 (per image span): render once, detect (or override),
-        # preprocess/crop/strip-split; ONE batch-wide decode pass below
-        # (see RecognizeStage.__call__ for the rationale).
+        # Phase 1, batch-wide: render each raster once into its shape
+        # group's detect canvas, detect every group in one pass (override
+        # spans skip detect), then preprocess/crop/strip-split per image;
+        # ONE batch-wide decode pass below (see RecognizeStage.__call__).
+        img_j = img_j.tolist()
+        ov = [
+            overrides.get((doc_ids[r], j - int(off[r])))
+            for j, r in zip(img_j, img_rows.tolist())
+        ]
         all_strips: list = []
         prepared: dict[int, tuple | None] = {}
-        for j, r in zip(img_j.tolist(), img_rows.tolist()):
-            i = j - int(off[r])
+        for k, img, boxes in detect_batch([refs[j] for j in img_j], self.cfg, ov):
+            j = img_j[k]
+            prepared[j] = None  # dead-letter unless it prepares: counted below
+            if img is None:
+                continue
             try:
-                boxes, counts, strips = prepare_image_span(
-                    refs[j], self.cfg,
-                    override_boxes=overrides.get((doc_ids[r], i)),
+                strips, counts = prepare_recognize(
+                    refs[j], boxes, img.shape[1], img.shape[0], self.cfg, img=img
                 )
-            except (ValueError, KeyError, IndexError, OverflowError):
-                prepared[j] = None  # dead-letter: counted below
+            except DEAD_LETTER_ERRORS:
                 continue
             prepared[j] = (boxes, counts, len(all_strips))
             all_strips.extend(strips)

@@ -211,3 +211,75 @@ def test_recognize_phase_poison_counted_not_fatal():
     assert len(out) == 1
     assert out[0]["n_span_errors"] == 1
     assert [s["kind"] for s in out[0]["spans_out"]] == ["text"]
+
+
+@pytest.mark.parametrize("detect_max_side", [0, 100])
+def test_stage_batch_parity_mixed(detect_max_side):
+    """One stage batch mixing malformed refs, a zero-width (0x10) and a
+    zero-height (10x0) raster, override spans and images of several
+    shapes: ExtractStage and DetectStage -> RecognizeStage both equal the
+    oracle, per-span dead-letter counts included."""
+    import ray
+
+    from ocr_platform_ray import media
+    from ocr_platform_ray.kernels.extract import safe_extract_image_span
+    from ocr_platform_ray.stages.extract import (
+        DetectStage, ExtractStage, RecognizeStage,
+    )
+    from ocr_platform_ray.stages.normalize import count_spans_batch, normalize_spans_batch
+
+    cfg = ExtractConfig(detect_max_side=detect_max_side)
+    docs = corpus.generate_docs(24, seed=11)
+    poison = ["img://not-a-ref", "img://1/2/0x10/1", "img://1/2/10x0/1"]
+    for i, ref in enumerate(poison * 2):
+        docs[3 * i]["spans"].append(
+            {"kind": "image", "text": "", "media_ref": ref, "offset": 10**6}
+        )
+    ov = []
+    for doc in docs[1::4]:
+        for idx, sp in enumerate(doc["spans"]):
+            if sp["kind"] == "image" and sp["media_ref"] not in poison:
+                _s, _i, w, h, _n = media.parse_ref(sp["media_ref"])
+                ov.append({"doc_id": doc["doc_id"], "span_idx": idx, "boxes": [
+                    {"x1": 0, "y1": 0, "x2": max(2, w // 2), "y2": min(h, 57)},
+                    {"x1": 1, "y1": 1, "x2": max(3, w - 1), "y2": min(h, 88)},
+                ]})
+                break
+    assert ov
+    shapes = {
+        media.raster_shape(sp["media_ref"])
+        for d in docs for sp in d["spans"]
+        if sp["kind"] == "image" and sp["media_ref"] != poison[0]
+    }
+    assert len(shapes) >= 4 and {(10, 0), (0, 10)} <= shapes
+
+    want = oracle.oracle_extract_docs(docs, cfg, overrides=ov)
+    ov_by = {(r["doc_id"], r["span_idx"]): [
+        (b["x1"], b["y1"], b["x2"], b["y2"]) for b in r["boxes"]] for r in ov}
+    want_err = {
+        d["doc_id"]: sum(
+            safe_extract_image_span(
+                sp["media_ref"], cfg, i, ov_by.get((d["doc_id"], i))
+            )[1]
+            for i, sp in enumerate(d["spans"]) if sp["kind"] == "image"
+        )
+        for d in docs
+    }
+    assert sum(want_err.values()) == 4  # the malformed and 0x10 refs
+
+    batch = normalize_spans_batch(count_spans_batch(corpus.docs_to_table(docs)))
+    ov_ref = ray.put(ov)
+    for out in (
+        ExtractStage(cfg, ov_ref)(batch),
+        RecognizeStage(cfg, ov_ref)(DetectStage(cfg)(batch)),
+    ):
+        rows = out.to_pylist()
+        got = {
+            r["doc_id"]: [
+                (s["kind"], s["text"], s["media_ref"], s["offset"])
+                for s in r["spans_out"]
+            ]
+            for r in rows
+        }
+        _assert_equal(got, want)
+        assert {r["doc_id"]: r["n_span_errors"] for r in rows} == want_err

@@ -32,6 +32,14 @@ class TestFont:
     def test_blank(self):
         assert font.decode_band(np.zeros((7, 10), dtype=bool)) == ("", 1.0)
 
+    def test_conf_is_min_over_glyphs_per_band(self):
+        clean = font.render_line("AB", 1) > 127
+        noisy = clean.copy()
+        noisy[1, 8] = True  # one stray cell inside B: 34 of 35 agree
+        assert font.decode_bands([clean, noisy, clean]) == [
+            ("AB", 1.0), ("AB", 34 / 35), ("AB", 1.0),
+        ]
+
     def test_templates_unique(self):
         flat = font.TEMPLATES.reshape(len(font.CHARSET), -1)
         assert len({tuple(r) for r in flat.tolist()}) == len(font.CHARSET)

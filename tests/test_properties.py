@@ -267,10 +267,12 @@ class TestCcProperties:
 
 
 class TestProposePolygonsProperty:
-    """The one-pass vectorized detector must equal the per-band scalar
-    walk on arbitrary binary images (band/run/merge edge cases: ink in
-    first/last row, single full-height band, paragraph bands, 1-px
-    runs)."""
+    """The canvas detector (``detectk.Canvas``, one canvas per shape group,
+    shared by the stages and the oracle) must equal the per-band scalar
+    walk on every image on its own: band/run/merge edge cases (ink in
+    first/last row, single full-height band, paragraph bands, 1-px runs),
+    repeated and mixed shapes in one batch, degenerate shapes, arbitrary
+    uint8 values and the max-side shrink."""
 
     @staticmethod
     def _scalar_reference(img):
@@ -308,12 +310,27 @@ class TestProposePolygonsProperty:
             out[i] = [[c0, r0], [c1, r0], [c1, r1], [c0, r1]]
         return out
 
+    @classmethod
+    def _scalar_detect(cls, img, max_side=0):
+        """One image the scalar way: optional max-side shrink, the numpy
+        row test (a max-reduction, which raises ValueError on a zero-width
+        raster), the scalar walk, the reference reduction."""
+        from ocr_platform_ray.kernels.detectk import reduce_polygons
+        from ocr_platform_ray.kernels.preprocess import resize_nearest
+
+        h, w = img.shape
+        scale = max(h, w) / max_side if max_side > 0 else 1.0
+        if scale > 1:
+            img = resize_nearest(img, int(w / scale), int(h / scale))
+        img.max(axis=1)
+        return reduce_polygons(cls._scalar_reference(img), scale)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_scalar_walk(self, data):
         import numpy as np
 
-        from ocr_platform_ray.kernels.detectk import propose_polygons
+        from ocr_platform_ray.kernels.detectk import detect_boxes
 
         h = data.draw(st.integers(1, 90), label="h")
         w = data.draw(st.integers(1, 90), label="w")
@@ -321,10 +338,115 @@ class TestProposePolygonsProperty:
         seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
         rng = np.random.default_rng(seed)
         img = (rng.random((h, w)) < density).astype(np.uint8) * 255
-        got = propose_polygons(img)
-        want = self._scalar_reference(img)
-        assert got.shape == want.shape
-        assert (got == want).all()
+        assert detect_boxes(img) == self._scalar_detect(img)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_scalar_walk(self, data):
+        """A batch grouped by work shape onto canvases, as
+        ``kernels.extract.detect_batch`` does, equals the scalar walk per
+        image; the exception class matches wherever the scalar path raises
+        (a zero-width work raster)."""
+        import numpy as np
+
+        from ocr_platform_ray.kernels.detectk import Canvas, work_shape
+        from ocr_platform_ray.kernels.preprocess import resize_nearest
+
+        dim = st.integers(0, 48)
+        shapes = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(dim, dim),
+                    st.sampled_from([(0, 9), (9, 0), (0, 0), (1, 1)]),
+                ),
+                min_size=1, max_size=4,
+            ),
+            label="shapes",
+        )
+        picks = data.draw(
+            st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=12),
+            label="picks",
+        )
+        max_side = data.draw(st.sampled_from([0, 0, 7, 16, 40]), label="max_side")
+        density = data.draw(st.floats(0.0, 0.7), label="density")
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        imgs = []
+        for p in picks:
+            # arbitrary uint8 values, most of them <= 127 (no ink): pins
+            # that OR-ing uint64 words then testing bit 7 is max(...) > 127
+            vals = rng.integers(0, 256, size=shapes[p], dtype=np.uint8)
+            imgs.append(np.where(rng.random(shapes[p]) < density, vals, 0).astype(np.uint8))
+        want, groups = {}, {}
+        for i, img in enumerate(imgs):
+            try:
+                want[i] = self._scalar_detect(img, max_side)
+            except Exception as e:  # noqa: BLE001  (the class is the contract)
+                want[i] = type(e)
+            try:
+                gh, gw, scale = work_shape(*img.shape, max_side)
+            except Exception as e:  # noqa: BLE001
+                assert want[i] is type(e), (img.shape, max_side)
+                continue
+            groups.setdefault((gh, gw), []).append((i, scale))
+        for (gh, gw), members in groups.items():
+            canvas = Canvas(len(members), gh, gw)
+            for k, (i, _scale) in enumerate(members):
+                canvas.slot(k)[...] = resize_nearest(imgs[i], gw, gh)
+            got = canvas.boxes([scale for _i, scale in members])
+            for (i, _scale), boxes in zip(members, got):
+                assert boxes == want[i], (imgs[i].shape, max_side)
+
+
+class TestDecodeStripsProperty:
+    """Batch decode (one band-choice pass over all strips, one template
+    pass) equals the per-strip rule: the tallest run of ink rows, ties topmost, decoded
+    on its own. Ink rows come in runs of a few shared heights, so
+    equal-height bands are common."""
+
+    @staticmethod
+    def _scalar_decode(strip):
+        import numpy as np
+
+        row_any = strip.max(axis=1) > 127
+        idx = np.flatnonzero(np.diff(np.concatenate(([0], row_any.view(np.int8), [0]))))
+        bands = [(int(idx[i]), int(idx[i + 1])) for i in range(0, len(idx), 2)]
+        if not bands:
+            return "", 1.0
+        r0, r1 = max(bands, key=lambda b: (b[1] - b[0], -b[0]))
+        return font.decode_band(strip[r0:r1] > 127)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_strip_rule(self, data):
+        import numpy as np
+
+        shapes = data.draw(
+            st.lists(st.tuples(st.integers(0, 40), st.integers(1, 60)), min_size=1, max_size=3),
+            label="shapes",
+        )
+        picks = data.draw(
+            st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=10),
+            label="picks",
+        )
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        strips = []
+        for p in picks:
+            h, w = shapes[p]
+            noise = rng.integers(0, 128, size=(h, w), dtype=np.uint8)
+            ink = rng.integers(128, 256, size=(h, w), dtype=np.uint8)
+            # ink rows in runs of a few shared heights (>= the 7-row glyph
+            # height, so bands decode) separated by short gaps
+            rows = np.zeros(h, dtype=bool)
+            y = int(rng.integers(0, 3))
+            while y < h:
+                run = int(rng.choice([3, 7, 8]))
+                rows[y : y + run] = True
+                y += run + int(rng.integers(1, 4))
+            cells = rng.random((h, w)) < 0.4
+            strips.append(np.where(rows[:, None] & cells, ink, noise).astype(np.uint8))
+        assert recognizek.decode_strips(strips) == [self._scalar_decode(s) for s in strips]
 
 
 class TestExactQuantileProperty:

@@ -63,3 +63,24 @@ def test_basket_pairs_empty():
     # schema itself must keep the contract columns
     assert ds.schema().names == ["p1", "p2", "n_pair", "lift"]
     assert ds.count() == 0
+
+
+def test_segment_bitmask_63_type_limit():
+    """The per-user mask is an int64: 63 types fit (all bits set reads
+    2^63 - 1); a 64th type is a ValueError naming the limit in both
+    bitmask operators, not a bare OverflowError."""
+    import pytest
+
+    from ocr_platform_ray.functions.events import type_user_overlap
+
+    def events(n_types):
+        return rd.from_arrow(pa.table({
+            "user_id": pa.array([7] * n_types, pa.int64()),
+            "event_type": pa.array([f"t{i:02d}" for i in range(n_types)], pa.string()),
+        }))
+
+    out = user_segment_profile(events(63)).to_pandas()
+    assert out["mask"].tolist() == [2**63 - 1] and out["n_users"].tolist() == [1]
+    for fn in (user_segment_profile, type_user_overlap):
+        with pytest.raises(ValueError, match="at most 63"):
+            fn(events(64))

@@ -78,3 +78,31 @@ def test_label_margin_single_label_null():
     out = label_margin(ds).to_pandas()
     assert out["margin"].isna().all()
     assert out["confusable"].isna().all()
+
+
+def test_label_margin_centroid_merge_order_independent():
+    """The per-label centroid is the same bits whatever order the groupby
+    hands over the (vec_sum, n) partials: cancellation-prone sums that a
+    left-to-right float add gets wrong depending on order."""
+    import numpy as np
+    import pandas as pd
+
+    from ocr_platform_ray.functions.similarity import _merge_centroid
+
+    rng = np.random.default_rng(3)
+    vecs = [np.array([1e16, 1.0, 0.1]), np.array([1.0, -1e16, 0.2]),
+            np.array([-1e16, 1e16, 0.3])]
+    vecs += [rng.normal(size=3) * 10.0 ** rng.integers(-3, 17) for _ in range(9)]
+    g = pd.DataFrame({
+        "label": [4] * len(vecs),
+        "n": list(range(1, len(vecs) + 1)),
+        "vec_sum": [v.astype(np.float64).tobytes() for v in vecs],
+    })
+    want = _merge_centroid(g)["mean"].iloc[0]
+    naive = set()
+    for seed in range(20):
+        perm = np.random.default_rng(seed).permutation(len(g))
+        shuffled = g.iloc[perm].reset_index(drop=True)
+        assert _merge_centroid(shuffled)["mean"].iloc[0] == want
+        naive.add(np.sum(np.stack(vecs)[perm], axis=0).tobytes())
+    assert len(naive) > 1  # the inputs do expose order-dependent float sums
