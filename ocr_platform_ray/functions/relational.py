@@ -5471,16 +5471,23 @@ def _int_moment_acc(
     the welch_t_by_group combiner shape — merged driver-side with exact
     Python ints under a loud ``max_groups`` guard. ``val_expr`` maps the
     batch to the int64 value vector (identity for anova, |2x − 2·median|
-    for Brown–Forsythe)."""
-    import numpy as np
+    for Brown–Forsythe).
+
+    The per-batch Σx and Σx² are exact Python ints too: x² overflows
+    int64 once |x| > 3_037_000_499 (and a sum of smaller squares can
+    still wrap), so the values go to object dtype before the product and
+    the partials travel as decimal strings — the HUGEINT the oracle SQL
+    sums in."""
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.column(group_col).to_pylist()
-        x = val_expr(batch)
+        x = val_expr(batch).astype(object)
         df = pd.DataFrame({"g": g, "x": x, "xx": x * x})
         agg = df.groupby("g", as_index=False).agg(
             n=("x", "size"), sx=("x", "sum"), sxx=("xx", "sum")
         )
+        agg["sx"] = agg["sx"].map(str)
+        agg["sxx"] = agg["sxx"].map(str)
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     rows = ds.map_batches(partial, batch_format="pyarrow").take(

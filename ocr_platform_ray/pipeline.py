@@ -18,7 +18,17 @@ Physical design (SURVEY §4, §7.4):
   Ray reuses task workers across Datasets in a session, so no actor pool
   starts per Dataset (a two-phase job executes one per shard and phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
-  operator, and cannot reserve every CPU the way a fixed actor pool can.
+  operator, and cannot reserve every CPU the way a fixed actor pool can;
+- extraction Datasets run without Ray Data's per-operator resource
+  reservation (``_bucketed``). The reservation allocator holds at least
+  one task's CPU for every operator, so on a 2-CPU session a light
+  consumer map after the stage kept one slot and the stage ran one task
+  at a time. The flag is set on the Dataset's own ``DataContext`` copy,
+  never on the global one, so query Datasets keep Ray's default;
+- the bench corpus splits at the read (``override_num_blocks`` = 2 x CPU),
+  not through a repartition barrier, so ``to_spans`` fuses into the
+  stage's operator (to_spans -> prepare -> stage is one operator) and the
+  stage sees up to 2 x CPU tasks at any CPU count.
 """
 
 from __future__ import annotations
@@ -117,18 +127,20 @@ def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
                 )
         return pa.Table.from_pylist(rows, schema=DOCUMENTS_TENANT_SCHEMA)
 
-    # A single small parquet file reads as ~16 blocks; downstream stage-task
-    # parallelism equals block count, so split up front to ~2 blocks per CPU
-    # (real corpora arrive in many files and skip this).
+    # A single small parquet file reads as ~16 blocks whatever the CPU
+    # count; stage-task parallelism equals block count, so split the read
+    # itself into 2 blocks per CPU. to_spans carries the stage's remote
+    # args, so it fuses into the stage's operator with no barrier between
+    # (real corpora arrive in many files and read as many blocks anyway).
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         ncpu = 8
-    return (
-        read_corpus(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-        .repartition(max(64, 2 * ncpu))
-        .map_batches(to_spans, batch_format="pyarrow", batch_size=256)
-    )
+    return read_corpus(
+        f"{sf_dir}/documents.parquet",
+        columns=["doc_id", "text"],
+        override_num_blocks=2 * max(1, ncpu),
+    ).map_batches(to_spans, **PipelineOptions().task_kwargs())
 
 
 def scope_tenant(ds: rd.Dataset, tenant_id: str) -> rd.Dataset:
@@ -166,7 +178,17 @@ def _bucketed(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
     ``batch_size=None`` stage (yielded chunks are re-coalesced by the
     output block builder up to target_max_block_size, so the stage saw
     giant mixed batches). Every row passes the expensive stage exactly
-    once in all modes."""
+    once in all modes.
+
+    The Dataset runs without Ray Data's per-operator resource reservation,
+    which holds at least one task's CPU for every operator: a light map
+    after the stage would otherwise keep a slot the stage cannot use. The
+    flag is set on ``ds.context``, the ``DataContext`` copy the lineage
+    captured when it was created, so it also covers the caller's input
+    lineage and any consumer map added to the result later (the point: a
+    downstream map must not take the stage's slot), and never touches
+    ``DataContext.get_current()``."""
+    ds.context.op_resource_reservation_enabled = False
     kw = opts.stage_kwargs()
     if opts.skew_mode != "bucketed":
         return ds.map_batches(stage, batch_size=opts.uniform_batch_size, **kw)

@@ -1,0 +1,169 @@
+"""The extract stage gets every CPU slot, and the bench corpus reaches it
+with no barrier.
+
+Ray Data's reservation allocator holds at least one task's CPU for every
+operator, so on a 2-CPU session a plain consumer map after the stage kept
+one slot and the stage ran one task at a time. Extraction Datasets turn
+the reservation off on their own ``DataContext`` copy; these tests pin
+that two stage tasks overlap under a consumer map, that the global
+context is left alone, and that ``corpus_from_documents`` splits at the
+read (no Repartition) so ``to_spans`` fuses into the stage's operator.
+
+Everything runs in one child process with its own
+``ray.init(num_cpus=2)``, under a timeout that kills the child's whole
+process group, so no Ray process outlives the tests."""
+
+import os
+import re
+import signal
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 180
+
+CHILD = r"""
+import os, tempfile, time
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data as rd
+
+from ocr_platform_ray import oracle, pipeline
+from ocr_platform_ray.corpus import spans_from_document
+from ocr_platform_ray.pipeline import PipelineOptions
+
+NCPU = 2
+ray.init(address="local", num_cpus=NCPU, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=200 * 2**20)
+rd.DataContext.get_current().enable_progress_bars = False
+work = tempfile.mkdtemp()
+
+
+class SleepStage:
+    # stands in for ExtractStage: ~0.3 s per batch, one record per call
+    def __init__(self, log_dir):
+        self.log_dir = log_dir
+
+    def __call__(self, batch):
+        t0 = time.time()
+        time.sleep(0.3)
+        t1 = time.time()
+        path = os.path.join(self.log_dir, f"{os.getpid()}-{t0:.6f}")
+        with open(path, "w") as f:
+            f.write(f"{os.getpid()} {t0} {t1}")
+        return batch
+
+
+def consume(batch):
+    return batch
+
+
+try:
+    before = rd.DataContext.get_current().op_resource_reservation_enabled
+
+    # 1. slot split: 4 blocks of one stage batch each (uniform_batch_size
+    # rows) through the stage, then a plain consumer map
+    log_dir = os.path.join(work, "calls")
+    os.makedirs(log_dir)
+    bs = PipelineOptions().uniform_batch_size
+    tbl = pa.table({"doc_id": [f"d{i}" for i in range(4 * bs)],
+                    "n_image_spans": [1] * (4 * bs)})
+    ds = rd.from_arrow([tbl.slice(i * bs, bs) for i in range(4)])
+    out = pipeline._bucketed(ds, SleepStage(log_dir), PipelineOptions())
+    rows = out.map_batches(consume, batch_format="pyarrow").take_all()
+    calls = []
+    for name in os.listdir(log_dir):
+        with open(os.path.join(log_dir, name)) as f:
+            _, t0, t1 = f.read().split()
+        calls.append((float(t0), float(t1)))
+    calls.sort()
+    overlap = any(b[0] < a[1] for a, b in zip(calls, calls[1:]))
+    print("stage_calls", len(calls), "rows", len(rows))
+    print("overlap", overlap)
+
+    # 2. no build_* call writes the global context
+    docs_ds = rd.from_arrow(pa.table({"doc_id": ["x"], "spans": [[]]}))
+    pipeline.build_extract_pipeline(docs_ds)
+    pipeline.build_detect_pipeline(docs_ds)
+    pipeline.build_recognize_pipeline(docs_ds.map_batches(consume))
+    after = rd.DataContext.get_current().op_resource_reservation_enabled
+    print("global_unchanged", before == after)
+
+    # 3. flagship plan shape and rows, replicate=2; 160 docs read as
+    # 2 x NCPU blocks of 40 rows, each above the stage's 32-row bundle
+    # target, so every read block is one stage task
+    n = 160
+    texts = [" ".join(f"w{(d * 7 + i) % 53}" for i in range(8 + d % 37))
+             for d in range(n)]
+    pq.write_table(pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                             "text": texts}),
+                   os.path.join(work, "documents.parquet"))
+    flagship = pipeline.build_extract_pipeline(
+        pipeline.corpus_from_documents(work, replicate=2))
+    got = {}
+    for row in flagship.take_all():
+        got[row["doc_id"]] = [(s["kind"], s["text"], s["media_ref"], s["offset"])
+                              for s in row["spans_out"]]
+    docs = [{"doc_id": f"doc-{r}-{d:08d}",
+             "spans": spans_from_document(d + r * 1_000_000, texts[d])}
+            for d in range(n) for r in range(2)]
+    print("oracle_equal", got == oracle.oracle_extract_docs(docs), len(got))
+    stats = flagship.stats()
+    print("repartition", "Repartition" in stats)
+    for line in stats.splitlines():
+        if line.startswith("Operator") and "MapBatches(ExtractStage)" in line:
+            print("stage_op", line)
+finally:
+    ray.shutdown()
+"""
+
+
+@pytest.fixture(scope="module")
+def child_out():
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CHILD],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        out, err = "", f"no result after {TIMEOUT_S} s"
+    finally:
+        # the child's Ray daemons share its process group: reap them too
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return out, err[-2000:]
+
+
+def test_stage_tasks_overlap_under_a_consumer_map(child_out):
+    out, err = child_out
+    assert "stage_calls 4 rows 128" in out, out or err
+    assert "overlap True" in out, out
+
+
+def test_global_context_unchanged(child_out):
+    out, err = child_out
+    assert "global_unchanged True" in out, out or err
+
+
+def test_flagship_split_at_read_fuses_to_spans(child_out):
+    out, err = child_out
+    assert "oracle_equal True 320" in out, out or err
+    assert "repartition False" in out, out
+    ops = [ln for ln in out.splitlines() if ln.startswith("stage_op")]
+    assert len(ops) == 1, out
+    # one operator from to_spans to the stage, one task per read block
+    # (2 x CPU blocks)
+    assert re.match(
+        r"stage_op Operator \d+ MapBatches\(to_spans\)->.*"
+        r"->MapBatches\(ExtractStage\): 4 tasks executed", ops[0]
+    ), ops[0]

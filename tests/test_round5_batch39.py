@@ -9,8 +9,11 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ocr_platform_ray.functions import round_half_away
 from ocr_platform_ray.functions.events import interarrival_fit
 from ocr_platform_ray.functions.relational import (
+    _anova_f_from_acc,
+    _int_moment_acc,
     anova_f_by_group,
     brown_forsythe,
 )
@@ -68,6 +71,29 @@ def test_brown_forsythe_equal_spread_zero_f():
         _tbl(["a"] * 3 + ["b"] * 3, [1, 2, 3, 101, 102, 103]), "g", "x"
     ).to_pandas()
     assert out["f_bf"].tolist() == [0.0]
+
+
+def test_int_moments_exact_past_int64_square():
+    # |x| ~ 4e9 > 3_037_000_499, so x*x wraps in int64; the moments must
+    # equal plain Python-int sums, over several blocks per group
+    vals = [4_000_000_000 + 7 * i for i in range(12)]
+    vals += [-4_100_000_001 - 13 * i for i in range(12)]
+    groups = ["a", "b", "c"] * 8
+    tbl = pa.table(
+        {"g": pa.array(groups, pa.string()), "x": pa.array(vals, pa.int64())}
+    )
+    ds = rd.from_arrow([tbl.slice(i, 5) for i in range(0, len(vals), 5)])
+    want: dict = {}
+    for g, x in zip(groups, vals):
+        n, s, q = want.get(g, (0, 0, 0))
+        want[g] = (n + 1, s + x, q + x * x)
+    got = _int_moment_acc(
+        ds, "g", lambda b: b.column("x").to_numpy(), 100, "test"
+    )
+    assert got == want
+    out = anova_f_by_group(ds, "g", "x").to_pandas()
+    f = _anova_f_from_acc(want)[2]
+    assert out["f_stat"].tolist() == [round_half_away(f, 6)]
 
 
 def _events(specs):
