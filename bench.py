@@ -42,8 +42,6 @@ def _init_ray(num_cpus: int):
     suppress_empty_sort_schema_warning()
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    if os.environ.get("GRAFT_SHUFFLE") == "hash":
-        ctx.shuffle_strategy = "hash_shuffle"
 
 
 def _consume_count(ds) -> int:

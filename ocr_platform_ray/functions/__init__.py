@@ -47,15 +47,14 @@ def round_half_away_np(x, ndigits: int):
 
 
 def default_n_buckets(per_cpu: int = 4, floor: int = 64) -> int:
-    """Coarse-bucket count sized to the CLUSTER, not a constant: ~4 Ray
-    groups per CPU keeps every core busy through the groupby tail while
-    paying per-group scheduling as few times as possible. A fixed 512 was
-    measured 1.3-1.6x SLOWER than 128 at sf0.1/32 CPUs (sessions 1.70 ->
-    1.07 s, tumbling windows 2.11 -> 1.69 s, running totals 1.9 -> 1.1 s:
-    512 tiny 2-column groups are pure scheduling overhead), while at 8k
-    cores the same rule yields 32k buckets — each bucket's payload stays
-    worker-heap-sized at 100 TB. Bucket count never changes RESULTS (all
-    rows of a key co-locate regardless), only scheduling granularity."""
+    """Coarse-bucket count sized to the CLUSTER, not a constant: ~4 hash
+    buckets per CPU. Since :func:`apply_per_partition` calls the UDF once
+    per sorted BLOCK, the count no longer sets how many UDF calls a
+    shuffle pays — it only sets the sort key's cardinality, i.e. how
+    finely the range partitioner can balance rows across blocks (a hot
+    bucket cannot be split). At 8k cores the rule yields 32k buckets, so
+    each block's payload stays worker-heap-sized at 100 TB. Bucket count
+    never changes RESULTS (all rows of a key co-locate regardless)."""
     try:
         import ray
 
@@ -68,18 +67,49 @@ def default_n_buckets(per_cpu: int = 4, floor: int = 64) -> int:
     return max(floor, 128)
 
 
+def apply_per_partition(ds, key, fn, batch_format: str = "pandas"):
+    """The task-only shuffle: sort on ``key`` (a column name or list) and
+    call ``fn`` once per sorted BLOCK.
+
+    This is Ray's own ``map_groups`` minus its per-key split:
+    ``map_groups`` is ``sort(key)`` followed by
+    ``map_batches(batch_size=None)`` and then slices every block into one
+    frame per key value. The range-partitioned sort already puts every
+    row of one key value in one block, so a UDF that sub-groups by its
+    own keys (a hash-bucket column, a join key) needs only the block.
+
+    Contract: ``fn`` must be exact on a block that holds SEVERAL key
+    values — it may not read the key as a scalar (``g[key].iloc[0]``);
+    sites that do keep ``groupby(key).map_groups``. Ray never calls a
+    map function on an empty block, so ``fn`` sees at least one row.
+
+    ``fn`` runs inside a generator, as under ``map_groups``, so an
+    exception it raises (a loud guard's ValueError) reaches the caller
+    as its own class; Ray wraps a plain map function's exceptions in
+    ``UserCodeException``."""
+
+    def per_block(batch):
+        yield fn(batch)
+
+    per_block.__name__ = fn.__name__  # the operator name in Ray's stats
+    return ds.sort(key).map_batches(
+        per_block, batch_size=None, batch_format=batch_format
+    )
+
+
 def bucketed_group_apply(ds, key_cols, fn, n_buckets: int | None = None,
                          batch_format: str = "pandas"):
     """The repo's many-small-keys groupby idiom as a reusable primitive:
-    hash the key columns into ``n_buckets`` coarse buckets (column ``cb``),
-    ``groupby("cb")``, and call ``fn`` once per BUCKET — ``fn`` must
-    itself sub-group by the key columns, vectorized (pandas/polars).
-    Per-group scheduling and per-call DataFrame construction are paid
-    ``n_buckets`` times, not once per distinct key (one map_groups call
-    per key was measured at ~5 s for 13.5k keys at sf0.01). All rows of
-    one key land in one bucket, so any per-key computation (top-k,
+    hash the key columns into ``n_buckets`` coarse buckets (column
+    ``cb``), and route them through :func:`apply_per_partition`, which
+    calls ``fn`` once per sorted BLOCK — a block holds whole buckets,
+    usually several, so ``fn`` must itself sub-group by the key columns,
+    vectorized (pandas/polars). UDF calls and per-call DataFrame
+    construction are paid once per block, not once per distinct key or
+    per bucket. All rows of one key land in one bucket, and all rows of
+    one bucket in one block, so any per-key computation (top-k,
     quantile, gap scan) is exact. The bucket column is stripped before
-    ``fn`` sees the group. ``n_buckets=None`` sizes to the cluster via
+    ``fn`` sees the rows. ``n_buckets=None`` sizes to the cluster via
     :func:`default_n_buckets` (~4 per CPU)."""
     import pyarrow as pa  # noqa: F811 — local import, package stays light
     import polars as pl
@@ -96,14 +126,14 @@ def bucketed_group_apply(ds, key_cols, fn, n_buckets: int | None = None,
             h = hc if h is None else h ^ hc
         return d.with_columns((h % n_buckets).cast(pl.Int64).alias("cb")).to_arrow()
 
-    # NOTE (measured, round 5): per-group OUTPUT block format matters in
-    # the tails — many TINY string frames from map_groups are pathological
-    # as pandas blocks (27 buckets x 190 string rows: 10.4 s pandas vs
-    # ~2 s arrow — q_js_divergence, which therefore uses
-    # batch_format="pyarrow"), but a blanket from_pandas conversion here
-    # REGRESSED large-output buckets ~1.5x (q_line_dedup 3.1 -> 4.6 s:
-    # extra copy). Pick the format per operator: arrow for many-small-
-    # group outputs, pandas when fn's output is a large pandas frame.
+    # NOTE (measured, round 5): OUTPUT block format matters in the tails
+    # — many TINY string frames are pathological as pandas blocks (27
+    # groups x 190 string rows: 10.4 s pandas vs ~2 s arrow —
+    # q_js_divergence, which therefore uses batch_format="pyarrow"), but
+    # a blanket from_pandas conversion here REGRESSED large outputs ~1.5x
+    # (q_line_dedup 3.1 -> 4.6 s: extra copy). Pick the format per
+    # operator: arrow for many small outputs, pandas when fn's output is
+    # a large pandas frame.
     if batch_format == "pandas":
         def run(g):
             return fn(g.drop(columns=["cb"]))
@@ -111,8 +141,7 @@ def bucketed_group_apply(ds, key_cols, fn, n_buckets: int | None = None,
         def run(g):
             return fn(g.drop(["cb"]))
 
-    return (
-        ds.map_batches(add_cb, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(run, batch_format=batch_format)
+    return apply_per_partition(
+        ds.map_batches(add_cb, batch_format="pyarrow"), "cb", run,
+        batch_format=batch_format,
     )

@@ -19,7 +19,7 @@ import ray.data as rd
 
 import numpy as np
 
-from . import textstats
+from . import apply_per_partition, textstats
 from .dedup import _text_hash64, shuffle_blocks, train_test_split
 
 QUALITY_CUT = 0.5
@@ -54,16 +54,16 @@ def curation_summary(ds: rd.Dataset) -> rd.Dataset:
         )
 
     def dedup_final(g: pd.DataFrame) -> pd.DataFrame:
-        # one vectorized sub-groupby per hash BUCKET, not one Ray group
-        # per distinct text; exact text equality decides inside the bucket
+        # one vectorized sub-groupby per sorted block of hash buckets, not
+        # one Ray group per distinct text; exact text equality decides
         win = g.loc[g.groupby("text")["doc_id"].idxmin()]
         return win[["doc_id", "n_tokens"]]
 
-    survivors = (
+    survivors = apply_per_partition(
         kept.map_batches(dedup_partial, batch_format="pyarrow")
-        .repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(dedup_final, batch_format="pandas")
+        .repartition(shuffle_blocks()),
+        "cb",
+        dedup_final,
     )
     labeled = train_test_split(survivors)
 

@@ -13,6 +13,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from . import apply_per_partition
+
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 # Blocks to compact small intermediate tables into before a groupby shuffle:
@@ -52,8 +54,9 @@ def pair_bucket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def distinct_pairs(
     pairs: rd.Dataset, key_cols: list[str], pre_bucketed: bool = False
 ) -> rd.Dataset:
-    """Distinct rows by key pair, via ~256 coarse groups with a pandas
-    drop_duplicates inside each (cheaper than one Ray group per pair).
+    """Distinct rows by key pair: ~256 coarse pair buckets, one sort on
+    the bucket and a pandas drop_duplicates per sorted block (cheaper
+    than one Ray group per pair or per bucket).
 
     ``pre_bucketed=True``: the producing stage already emitted the int
     'pb' bucket column (and ideally pre-deduped within its own groups),
@@ -78,7 +81,7 @@ def distinct_pairs(
         pairs = pairs.map_batches(add_pb, batch_format="pyarrow").repartition(
             shuffle_blocks()
         )
-    return pairs.groupby("pb").map_groups(dedupe, batch_format="pandas")
+    return apply_per_partition(pairs, "pb", dedupe)
 
 
 # ---------------------------------------------------------------- exact dedup
@@ -91,7 +94,7 @@ def exact_dedup_min_doc(ds: rd.Dataset) -> rd.Dataset:
     groupby is KEYED on the COARSE-BUCKETED 64-bit text hash so the
     shuffle's sort/partition comparisons run on int64, not multi-KB
     strings, AND the reduce side pays one vectorized sub-groupby per
-    bucket instead of one Ray group per distinct text — the text column
+    sorted block instead of one Ray group per distinct text — the text column
     still travels as payload and equality is verified exactly inside the
     bucket (a hash collision merely co-locates two texts). Equivalent
     SQL: SELECT min(doc_id) AS doc_id FROM documents GROUP BY text.
@@ -113,10 +116,8 @@ def exact_dedup_min_doc(ds: rd.Dataset) -> rd.Dataset:
     def final(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("text", as_index=False)["doc_id"].min()[["doc_id"]]
 
-    return (
-        partials.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(final, batch_format="pandas")
+    return apply_per_partition(
+        partials.repartition(shuffle_blocks()), "cb", final
     )
 
 
@@ -263,11 +264,11 @@ def minhash_dup_pairs(ds: rd.Dataset, threshold: float = 0.7) -> rd.Dataset:
     produce O(n^2) pairs; the cap is logged in the row output by the
     'truncated' flag on pairs from capped buckets.
     """
-    # One map emits band rows AND the coarse groupby key (bucket-of-
+    # One map emits band rows AND the coarse sort key (bucket-of-
     # buckets, ~1024 keys): per-LSH-bucket pair generation happens in a
-    # pandas sub-groupby INSIDE each coarse group — avoids Ray map_groups
-    # overhead on |bands|*|docs| tiny groups, and fusing the key into the
-    # band map drops a whole operator from the plan.
+    # pandas sub-groupby INSIDE each sorted block — one UDF call per
+    # block, not per LSH bucket or per coarse bucket, and fusing the key
+    # into the band map drops a whole operator from the plan.
     def bands_with_cb(batch: pa.Table) -> pa.Table:
         t = minhash_band_rows(batch)
         cb = np.bitwise_and(
@@ -317,10 +318,8 @@ def minhash_dup_pairs(ds: rd.Dataset, threshold: float = 0.7) -> rd.Dataset:
         df = df.sort_values(list(df.columns), kind="mergesort")
         return df.drop_duplicates(["doc_a", "doc_b"], keep="last")
 
-    pairs = (
-        bands.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(coarse_pairs, batch_format="pandas")
+    pairs = apply_per_partition(
+        bands.repartition(shuffle_blocks()), "cb", coarse_pairs
     )
     return distinct_pairs(pairs, ["doc_a", "doc_b"], pre_bucketed=True)
 
@@ -421,12 +420,10 @@ def connected_components_labels(
         u = g["node"].drop_duplicates()
         return pd.DataFrame({"node": u, "label": u})
 
-    labels = (
-        edges.map_batches(init_partial, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(init_final, batch_format="pandas")
-        .materialize()
-    )
+    labels = apply_per_partition(
+        edges.map_batches(init_partial, batch_format="pyarrow"), "cb",
+        init_final,
+    ).materialize()
 
     def label_sum(lbl: rd.Dataset) -> int:
         return int(lbl.sum("label") or 0)
@@ -474,19 +471,16 @@ def connected_components_labels(
     prev_sum = label_sum(labels)
     for _ in range(max_iters):
         both = edges.union(labels.map_batches(pad_labels, batch_format="pyarrow"))
-        neigh_labels = (
-            both.repartition(shuffle_blocks())
-            .groupby("cb")
-            .map_groups(spread, batch_format="pandas")
+        neigh_labels = apply_per_partition(
+            both.repartition(shuffle_blocks()), "cb", spread
         )
-        labels = (
+        labels = apply_per_partition(
             neigh_labels.union(labels)
             .map_batches(add_node_cb, batch_format="pyarrow")
-            .repartition(shuffle_blocks())
-            .groupby("cb")
-            .map_groups(take_min, batch_format="pandas")
-            .materialize()
-        )
+            .repartition(shuffle_blocks()),
+            "cb",
+            take_min,
+        ).materialize()
         cur = label_sum(labels)
         if cur == prev_sum:
             break
@@ -693,10 +687,8 @@ def _hamming_dup_pairs_impl(
         df = df.sort_values(list(df.columns), kind="mergesort")
         return df.drop_duplicates(["doc_a", "doc_b"], keep="last")
 
-    pairs = (
-        blocks.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(coarse_pairs, batch_format="pandas")
+    pairs = apply_per_partition(
+        blocks.repartition(shuffle_blocks()), "cb", coarse_pairs
     )
     return distinct_pairs(pairs, ["doc_a", "doc_b"], pre_bucketed=True)
 
@@ -770,9 +762,9 @@ def dedup_survivor_doc_ids(ds: rd.Dataset) -> rd.Dataset:
     """Exact whole-document dedup pre-pass: keep min(doc_id) per distinct
     document -> (doc_id) survivor rows. The shuffle carries only
     (128-bit signature, doc_id) rows, never spans; per-batch combiner
-    first, then ~1024 coarse groups with the per-signature sub-groupby in
-    pandas (one Ray group per distinct doc would pay per-group overhead
-    x corpus size)."""
+    first, then ~1024 coarse buckets, one sort on the bucket and the
+    per-signature sub-groupby in pandas once per sorted block (one Ray
+    group per distinct doc would pay per-group overhead x corpus size)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         sig = doc_signature_batch(batch).to_pandas()
@@ -787,10 +779,8 @@ def dedup_survivor_doc_ids(ds: rd.Dataset) -> rd.Dataset:
             ["doc_id"]
         ]
 
-    return (
-        partials.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(final, batch_format="pandas")
+    return apply_per_partition(
+        partials.repartition(shuffle_blocks()), "cb", final
     )
 
 
@@ -1041,6 +1031,7 @@ def seeded_shuffle_rank(
             }
         )
 
+    # map_groups, not apply_per_partition: rank reads its bucket's offset
     return (
         keyed.repartition(shuffle_blocks())
         .groupby("__bucket")
@@ -1297,7 +1288,7 @@ def negative_pairs(
     Composition, not new machinery: shuffle rank -> row-local target
     position -> int-keyed hash join of the rank table with itself.
     Output: (id, partner_id)."""
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     ranks = seeded_shuffle_rank(ds, id_col=id_col, seed=seed)
     n = ds.count()
@@ -1319,7 +1310,7 @@ def negative_pairs(
         ),
         batch_format="pyarrow",
     )
-    joined = hash_join(left, right, on="target")
+    joined = bucketed_merge_join(left, right, on="target")
     return joined.select_columns([id_col, "partner_" + id_col])
 
 
@@ -1812,10 +1803,8 @@ def cross_source_duplication(
             out, schema=out_schema, preserve_index=False
         )
 
-    per_bucket = (
-        partials.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(pairs, batch_format="pandas")
+    per_bucket = apply_per_partition(
+        partials.repartition(shuffle_blocks()), "cb", pairs
     )
 
     rows = per_bucket.take(max_partial_rows + 1)
@@ -2388,10 +2377,8 @@ def priority_dedup(ds: rd.Dataset) -> rd.Dataset:
             .drop_duplicates("text", keep="first")[["doc_id"]]
         )
 
-    return (
-        partials.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(final, batch_format="pandas")
+    return apply_per_partition(
+        partials.repartition(shuffle_blocks()), "cb", final
     )
 
 
@@ -2766,12 +2753,9 @@ def dup_bytes_by_source(ds: rd.Dataset, max_groups: int = 100_000) -> rd.Dataset
         out = agg[agg["n_dup"] > 0]
         return out[["source", "n_dup", "bytes"]]
 
-    rows = (
-        partials.repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(merge, batch_format="pandas")
-        .take(max_groups + 1)
-    )
+    rows = apply_per_partition(
+        partials.repartition(shuffle_blocks()), "cb", merge
+    ).take(max_groups + 1)
     if len(rows) > max_groups:
         raise ValueError(
             "dup_bytes_by_source: > max_groups source partials — raise "

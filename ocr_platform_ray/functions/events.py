@@ -13,7 +13,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from . import round_half_away_np
+from . import apply_per_partition, round_half_away_np
 
 US_PER_HOUR = 3_600_000_000
 
@@ -21,11 +21,10 @@ US_PER_HOUR = 3_600_000_000
 # ~|event_types| x |windows| distinct keys (tens of thousands at bench
 # scale, unbounded over a long-lived event log), and one map_groups call
 # per key pays pandas-DataFrame construction per WINDOW — measured 5 s at
-# sf0.01 for 13.5k sliding windows. Group by a hash bucket instead and run
-# ONE vectorized sub-groupby per bucket; scheduling cost is paid per
-# BUCKET regardless of key count. Bucket count is sized to the cluster
-# (default_n_buckets, ~4 per CPU): a fixed 512 was measured 1.3-1.6x
-# slower than the sized 128 at sf0.1/32 CPUs.
+# sf0.01 for 13.5k sliding windows. Sort on a hash bucket instead and run
+# ONE vectorized sub-groupby per sorted block (apply_per_partition); the
+# UDF cost is paid per block regardless of key count. Bucket count is
+# sized to the cluster (default_n_buckets, ~4 per CPU).
 
 
 def _window_buckets() -> int:
@@ -37,7 +36,7 @@ def _window_buckets() -> int:
 def _merged_windows(partials: rd.Dataset) -> rd.Dataset:
     """Merge per-batch (event_type, window_id, n_events, value_sum)
     partials: coarse-bucket by key hash, one vectorized pandas sub-groupby
-    per bucket. Partial rows are sorted by the full row (value_sum
+    per sorted block. Partial rows are sorted by the full row (value_sum
     included) before summing so float accumulation order — and therefore
     the 6dp-rounded result — is a pure function of the data, not of
     shuffle arrival order."""
@@ -68,10 +67,8 @@ def _merged_windows(partials: rd.Dataset) -> rd.Dataset:
         agg["value_sum"] = round_half_away_np(agg["value_sum"].to_numpy(), 6)
         return agg
 
-    return (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(final, batch_format="pandas")
+    return apply_per_partition(
+        partials.map_batches(add_bucket, batch_format="pyarrow"), "cb", final
     )
 
 
@@ -198,10 +195,11 @@ def sessions_per_user(ds: rd.Dataset, gap_minutes: int = 30) -> rd.Dataset:
     when the gap from their previous event exceeds ``gap_minutes``.
 
     Users are coarse-bucketed by hash (all of one user's events land in
-    one bucket) and each bucket runs ONE vectorized pass: sort by
-    (user_id, ts), mark session starts where the user changes or the gap
-    exceeds the threshold, then a pandas sub-groupby sums starts per user
-    — per-group scheduling is paid per bucket, not per user."""
+    one bucket, every bucket in one sorted block) and each block runs ONE
+    vectorized pass: sort by (user_id, ts), mark session starts where the
+    user changes or the gap exceeds the threshold, then a pandas
+    sub-groupby sums starts per user — the UDF runs once per block, not
+    once per user or per bucket."""
     import polars as pl
 
     gap_us = gap_minutes * 60_000_000
@@ -234,11 +232,12 @@ def sessions_per_user(ds: rd.Dataset, gap_minutes: int = 30) -> rd.Dataset:
         agg["n_events"] = agg["n_events"].astype(np.int64)
         return agg
 
-    return (
-        ds.select_columns(["user_id", "ts"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(per_bucket, batch_format="pandas")
+    return apply_per_partition(
+        ds.select_columns(["user_id", "ts"]).map_batches(
+            add_bucket, batch_format="pyarrow"
+        ),
+        "cb",
+        per_bucket,
     )
 
 
@@ -382,9 +381,8 @@ def range_window_sum(
     ``SHIFT > ts-span + interval`` so a single pair of searchsorted calls
     finds every row's frame bounds across ALL users at once, then the
     frame sum is a cumsum difference. The composite key bounds users per
-    bucket at ``2^63 / SHIFT`` (loud guard): cluster-sized bucket counts
-    (~4 x CPUs) keep per-bucket user counts far below it at any corpus
-    size. Rounded 6dp (DuckDB's segment-tree accumulation order differs
+    call at ``2^63 / SHIFT`` (loud guard): a call gets one sorted block,
+    about one input block of rows, far below it at any corpus size. Rounded 6dp (DuckDB's segment-tree accumulation order differs
     from a linear cumsum in the last ulps)."""
     from . import bucketed_group_apply, round_half_away_np
 
@@ -401,9 +399,10 @@ def range_window_sum(
         shift = int(dts.max()) + interval_us + 2
         if (rank[-1] + 1) > (2**63 - 1) // max(shift, 1):
             raise ValueError(
-                "range_window_sum: too many users in one bucket for the "
-                "composite key — raise n_buckets (bucket counts sized to "
-                "the cluster keep this far from the bound)"
+                "range_window_sum: too many users in one sorted block "
+                "for the composite key — raise n_buckets (one bucket "
+                "never splits across blocks) or split the input into "
+                "more blocks"
             )
         key = rank * shift + dts
         lo = np.searchsorted(key, key - interval_us, side="left")
@@ -3060,7 +3059,7 @@ def scd2_intervals(ds: rd.Dataset) -> rd.Dataset:
     """SCD Type-2 history build: collapse each user's event stream into
     validity intervals of CONSECUTIVE equal event_type runs —
     (user_id, event_type, valid_from_us, valid_to_us, n_events), where
-    valid_to is the next run's start (NULL while current) — the
+    valid_to is the next run's start (-1 while current) — the
     warehouse dimension-history pattern (Kimball SCD2) that
     :func:`compact_latest` truncates to latest-only.
 
@@ -3091,7 +3090,8 @@ def scd2_intervals(ds: rd.Dataset) -> rd.Dataset:
             n_events=("ts", "size"),
         )
         nxt = r.groupby("user_id")["valid_from_us"].shift(-1)
-        r["valid_to_us"] = nxt.astype("Int64")
+        # -1 while current: a plain int64 column, no nullable dtype
+        r["valid_to_us"] = nxt.fillna(-1).astype(np.int64)
         return r[
             ["user_id", "event_type", "valid_from_us", "valid_to_us",
              "n_events"]

@@ -147,7 +147,7 @@ def nation_trade_pagerank(
     import ray
 
     from . import resolve_broadcast, round_half_away_np
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet")
     nation_keys = nat.column("n_nationkey").to_numpy().astype(np.int64)
@@ -205,7 +205,9 @@ def nation_trade_pagerank(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"]
     ).map_batches(line_side, batch_format="pyarrow")
 
-    joined = hash_join(lines, orders, on="l_orderkey", right_on="o_orderkey")
+    joined = bucketed_merge_join(
+        lines, orders, on="l_orderkey", right_on="o_orderkey"
+    )
     src, dst, w = edge_counts(joined, "src", "dst", weight_col="w")
 
     nodes, rank = pagerank_kernel(

@@ -2,19 +2,19 @@
 
 Three tiers, picked by side sizes (SURVEY §2.4 — the reference's only join
 is a per-row dict join; these are the cross-table generalizations a
-100 TB engine needs):
+100 TB engine needs). Every tier runs as Ray tasks; none starts actors:
 
 - broadcast map-side join (small dimension side): ``ray.put`` once, lookup
   inside map_batches — no shuffle (see relational.top_customers);
-- native hash join (both sides large): ``Dataset.join`` — hash-partitioned
-  on the key, ``num_partitions`` sized to the cluster;
-- bucketed pandas merge fallback: explicit hash-bucket groupby + per-bucket
-  ``pd.merge`` (portable to Ray versions without Dataset.join; also the
-  place to salt hot keys);
-- as-of join (Ray Data has no native one): per-key groupby + sorted
-  ``pd.merge_asof`` inside map_groups. Partitioning assumption: all rows
-  of one key fit one group (true for per-user event history; salt by time
-  range for pathological keys).
+- bucketed hash join (both sides large): :func:`bucketed_merge_join` —
+  both sides hash the key into coarse buckets, ONE sort shuffle on the
+  bucket co-locates them, and a pandas merge runs once per sorted block
+  (inner/left/semi/anti; also the place to salt hot keys);
+- as-of join (Ray Data has no native one): :func:`asof_join` — the same
+  key-bucket shuffle + one ``pd.merge_asof(by=key)`` per block, and
+  :func:`range_join_count` for interval counts. Partitioning assumption:
+  all rows of one key fit one block (true for per-user event history;
+  salt by time range for pathological keys).
 """
 
 from __future__ import annotations
@@ -24,38 +24,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-
-def hash_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    on: str,
-    right_on: str | None = None,
-    num_partitions: int | None = None,
-    join_type: str = "inner",
-) -> rd.Dataset:
-    """Native hash-partitioned join (Ray >= 2.46 Dataset.join).
-
-    ``num_partitions=None`` sizes partitions from the cluster: ncpu/4 with
-    a floor of 8. Measured at sf0.1 on one 32-CPU node: 8 partitions 2.5 s,
-    16 2.9 s, 32 14.5 s — each partition spawns a join-aggregator actor
-    that competes with the map side for CPUs, so partitions should be a
-    fraction of the cluster, not one per CPU; the floor keeps reduce
-    parallelism from collapsing on small sessions."""
-    if num_partitions is None:
-        import ray
-
-        try:
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpu = 8
-        num_partitions = max(8, ncpu // 4)
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=(on,),
-        right_on=(right_on,) if right_on else None,
-    )
+from . import apply_per_partition
 
 
 def _as_arrow_type(t) -> pa.DataType:
@@ -95,9 +64,12 @@ def bucketed_merge_join(
 ) -> rd.Dataset:
     """Explicit partitioned hash join: both sides get bucket =
     hash(key) % B (polars/Rust hash — key-type generic: int, string, date,
-    null), matching buckets merge pairwise in map_groups (pandas).
-    Portable and explicit about skew: salt hot keys by widening B. NULL
-    join keys follow SQL equality (match nothing; preserved by left/anti).
+    null), one sort on the bucket co-locates matching buckets, and one
+    pandas merge per sorted block joins them (:func:`apply_per_partition`
+    — a block holds whole buckets, and equal keys share a bucket). Tasks
+    only: no join actors. Explicit about skew: salt hot keys by widening
+    B. NULL join keys follow SQL equality (match nothing; preserved by
+    left/anti).
 
     ``how``: "inner" | "left" (unmatched left rows keep nulls in right
     columns) | "semi" (left rows WITH a match, left columns only) |
@@ -204,14 +176,14 @@ def bucketed_merge_join(
         from .dedup import shuffle_blocks
 
         u = u.repartition(shuffle_blocks())
-    return u.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return apply_per_partition(u, "__bucket", merge)
 
 
 def _add_key_bucket(key: str, n_buckets: int = 256):
-    """Coarse key-hash bucket column: the shuffle moves ~n_buckets groups
-    instead of one Ray group per key (per-group overhead dominates with
-    many small keys); per-key semantics are restored inside the bucket
-    with vectorized pandas (merge_asof by=, groupby). Key-type generic
+    """Coarse key-hash bucket column: the sort shuffles on one int64 of
+    ~n_buckets values instead of the raw key, and per-key semantics are
+    restored inside each sorted block with vectorized pandas
+    (merge_asof by=, groupby). Key-type generic
     (int/string/null — polars hashes any Arrow column; null keys hash
     deterministically and are handled by the per-bucket logic)."""
     import numpy as np
@@ -276,7 +248,7 @@ def range_join_count(
     )
 
     def count(g: pd.DataFrame):
-        # coarse group of many keys: in-process loop per key (two
+        # one sorted block of many keys: in-process loop per key (two
         # searchsorted probes each) instead of one Ray group per key
         parts: list[tuple[pd.DataFrame, np.ndarray]] = []
         # null keys match nothing (SQL equality): count 0, row preserved
@@ -315,10 +287,8 @@ def range_join_count(
     both = lb.union(rb).map_batches(_add_key_bucket(key), batch_format="pyarrow")
     from .dedup import shuffle_blocks
 
-    return (
-        both.repartition(shuffle_blocks())
-        .groupby("__kb")
-        .map_groups(count, batch_format="pandas")
+    return apply_per_partition(
+        both.repartition(shuffle_blocks()), "__kb", count
     )
 
 
@@ -371,7 +341,7 @@ def asof_join(
     ]
 
     def match(g: pd.DataFrame):
-        # coarse group of ~many keys: ONE pandas merge_asof with by=key
+        # one sorted block of many keys: ONE pandas merge_asof with by=key
         # handles them all vectorized (one Ray group per key costs ~100us
         # of per-group overhead x |keys| — measured ~2x slower)
         gl = g[g["__side"] == "l"][lcols].sort_values(ts, kind="mergesort")
@@ -411,10 +381,8 @@ def asof_join(
     )
     from .dedup import shuffle_blocks
 
-    return (
-        both.repartition(shuffle_blocks())
-        .groupby("__kb")
-        .map_groups(match, batch_format="pandas")
+    return apply_per_partition(
+        both.repartition(shuffle_blocks()), "__kb", match
     )
 
 

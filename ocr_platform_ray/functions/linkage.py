@@ -457,6 +457,7 @@ def sorted_neighborhood_pairs(
             }
         )
 
+    # map_groups, not apply_per_partition: rank reads its bucket id
     ranked = (
         keyed.repartition(shuffle_blocks())
         .groupby("__bucket")

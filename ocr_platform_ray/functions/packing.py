@@ -112,4 +112,5 @@ def pack_sequences(
             }
         )
 
+    # map_groups, not apply_per_partition: pack_bucket reads its bucket id
     return keyed.groupby("__bucket").map_groups(pack_bucket, batch_format="pandas")

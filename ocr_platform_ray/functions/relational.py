@@ -156,7 +156,7 @@ def revenue_by_customer(
 
     import ray
 
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     cust = pq.read_table(customer_path, columns=["c_custkey", "c_name"])
     lookup_ref = ray.put(
@@ -180,7 +180,7 @@ def revenue_by_customer(
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     per_order_rev = lineitem.map_batches(per_order, batch_format="pyarrow")
-    joined = hash_join(
+    joined = bucketed_merge_join(
         per_order_rev,
         orders.select_columns(["o_orderkey", "o_custkey"]),
         on="l_orderkey",
@@ -386,12 +386,13 @@ def supplier_volume_by_nation(
     supplier and customer are DIMENSIONS — broadcast once via ``ray.put``
     as sorted int arrays (searchsorted gather per batch; customer is the
     largest at ~150k keys/sf1 — two int arrays, still broadcast-sized; at
-    true warehouse scale swap the customer edge to ``joins.hash_join``).
+    true warehouse scale swap the customer edge to
+    ``joins.bucketed_merge_join``).
     Both fact tables pre-reduce BEFORE the single big⋈big shuffle:
     orders filter to the date year and region nations, lineitem gathers
     its supplier nation, filters to region nations, and pre-aggregates
     revenue per (l_orderkey, nation) inside map_batches. The lone
-    hash_join then moves one row per surviving order per side, the
+    bucketed join then moves one row per surviving order per side, the
     equality filter c_nat == s_nat runs per joined batch, and per-batch
     partials reduce to ≤ |nations| rows before the final tiny groupby
     (deterministic key-sorted accumulation, half-away rounding to whole
@@ -401,7 +402,7 @@ def supplier_volume_by_nation(
 
     import ray
 
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet")
     reg = pq.read_table(f"{sf_dir}/region.parquet")
@@ -482,7 +483,9 @@ def supplier_volume_by_nation(
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
     ).map_batches(line_side, batch_format="pyarrow")
 
-    joined = hash_join(l_slim, o_slim, on="l_orderkey", right_on="o_orderkey")
+    joined = bucketed_merge_join(
+        l_slim, o_slim, on="l_orderkey", right_on="o_orderkey"
+    )
 
     def partial(batch: pa.Table) -> pa.Table:
         same = pc.equal(batch.column("s_nat"), batch.column("c_nat"))
@@ -1136,18 +1139,20 @@ def shipping_priority(
 
     Scale shape: the segment's custkeys broadcast as one sorted int
     array (1/|segments| of customer — broadcast-sized far beyond sf1;
-    swap to joins.hash_join at true warehouse scale, same note as Q5);
-    orders filter to (date, segment-member) and carry only 3 columns;
-    lineitem pre-aggregates cents per l_orderkey INSIDE map_batches
-    before the one fact⋈fact hash join; per-order totals finalize in an
-    orderkey-bucketed pass that emits only its local top-k, and the
-    <= k x n_buckets candidates resolve with a k-row sort.limit."""
+    swap to a bucketed_merge_join edge at true warehouse scale, same
+    note as Q5); orders filter to (date, segment-member) and carry only
+    3 columns; lineitem pre-aggregates cents per l_orderkey INSIDE
+    map_batches before the one fact⋈fact bucketed hash join (tasks only;
+    both sides' schemas are passed, so no side is executed early to
+    learn them); per-order totals finalize in an orderkey-bucketed pass
+    that emits only each block's local top-k, and the <= k x blocks
+    candidates resolve with a k-row sort.limit."""
     import numpy as np
 
     import ray
 
     from . import bucketed_group_apply, resolve_broadcast
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     seg_keys = np.sort(
         np.unique(
@@ -1166,10 +1171,16 @@ def shipping_priority(
     ).astype(np.int64)
     seg_ref = ray.put(seg_keys)
     cut = pa.scalar(cutoff).cast(pa.timestamp("us"))
+    # each side is cast to its join schema, so the join needs no schema()
+    # peek (which would run the selective filters ahead of time)
+    o_schema = pa.schema(
+        [("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us")),
+         ("o_orderpriority", pa.string())]
+    )
+    li_schema = pa.schema([("l_orderkey", pa.int64()), ("cents", pa.int64())])
 
     # generator UDFs: a selective filter leaves some batches EMPTY, and
-    # an empty block's schema is dropped — which breaks the hash join's
-    # key resolution on the right side. Yielding nothing skips the block.
+    # yielding nothing skips the block instead of emitting an empty one
     def order_side(batch: pa.Table):
         batch = batch.filter(pc.less(batch.column("o_orderdate"), cut))
         keys = resolve_broadcast(seg_ref)
@@ -1179,7 +1190,7 @@ def shipping_priority(
         ok[ok] = keys[pos[ok]] == ck[ok]
         batch = batch.filter(pa.array(ok))
         if batch.num_rows:
-            yield batch.select(["o_orderkey", "o_orderdate", "o_orderpriority"])
+            yield batch.select(o_schema.names).cast(o_schema)
 
     def line_side(batch: pa.Table):
         batch = batch.filter(pc.greater(batch.column("l_shipdate"), cut))
@@ -1198,7 +1209,7 @@ def shipping_priority(
             }
         )
         agg = df.groupby("l_orderkey", as_index=False)["cents"].sum()
-        yield pa.Table.from_pandas(agg, preserve_index=False)
+        yield pa.Table.from_pandas(agg, schema=li_schema, preserve_index=False)
 
     o = orders.select_columns(
         ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
@@ -1206,16 +1217,9 @@ def shipping_priority(
     li = lineitem.select_columns(
         ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     ).map_batches(line_side, batch_format="pyarrow")
-    # the selective order filter leaves schema-less EMPTY blocks behind
-    # (even with a generator UDF, Ray emits one per yield-less task) and
-    # the join's right-key resolution trips over them; compacting the
-    # (already small: one date window x one segment) side into uniform
-    # schema'd blocks removes them. Distinct key names for the same reason.
-    from .dedup import shuffle_blocks
-
-    joined = hash_join(
-        li, o.repartition(shuffle_blocks()), on="l_orderkey",
-        right_on="o_orderkey",
+    joined = bucketed_merge_join(
+        li, o, on="l_orderkey", right_on="o_orderkey",
+        left_schema=li_schema, right_schema=o_schema,
     )
 
     def topk_of(df: pd.DataFrame) -> pd.DataFrame:
@@ -1585,11 +1589,14 @@ def returned_item_report(
     import pyarrow.parquet as pq
 
     from . import bucketed_group_apply
-    from .dedup import shuffle_blocks
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     lo = pa.scalar(date_lo).cast(pa.timestamp("us"))
     hi = pa.scalar(date_hi).cast(pa.timestamp("us"))
+    # each side is cast to its join schema, so the join needs no schema()
+    # peek (the shipping_priority contract)
+    o_schema = pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64())])
+    li_schema = pa.schema([("l_orderkey", pa.int64()), ("cents", pa.int64())])
 
     def order_side(batch: pa.Table):
         m = pc.and_(
@@ -1598,7 +1605,7 @@ def returned_item_report(
         )
         batch = batch.filter(m)
         if batch.num_rows:
-            yield batch.select(["o_orderkey", "o_custkey"])
+            yield batch.select(o_schema.names).cast(o_schema)
 
     def line_side(batch: pa.Table):
         batch = batch.filter(
@@ -1619,7 +1626,7 @@ def returned_item_report(
             }
         )
         agg = df.groupby("l_orderkey", as_index=False)["cents"].sum()
-        yield pa.Table.from_pandas(agg, preserve_index=False)
+        yield pa.Table.from_pandas(agg, schema=li_schema, preserve_index=False)
 
     o = orders.select_columns(
         ["o_orderkey", "o_custkey", "o_orderdate"]
@@ -1627,12 +1634,9 @@ def returned_item_report(
     li = lineitem.select_columns(
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"]
     ).map_batches(line_side, batch_format="pyarrow")
-    # compact the (one-quarter) order side into uniformly schema'd blocks
-    # — the shipping_priority empty-block hazard — and keep key names
-    # distinct across sides
-    joined = hash_join(
-        li, o.repartition(shuffle_blocks()), on="l_orderkey",
-        right_on="o_orderkey",
+    joined = bucketed_merge_join(
+        li, o, on="l_orderkey", right_on="o_orderkey",
+        left_schema=li_schema, right_schema=o_schema,
     )
 
     def topk_of(df: pd.DataFrame) -> pd.DataFrame:
@@ -2365,7 +2369,7 @@ def nation_trade_revenue(sf_dir: str) -> rd.Dataset:
     import ray
 
     from . import resolve_broadcast
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet")
     names = {
@@ -2435,7 +2439,9 @@ def nation_trade_revenue(sf_dir: str) -> rd.Dataset:
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(line_side, batch_format="pyarrow")
 
-    joined = hash_join(lines, orders, on="l_orderkey", right_on="o_orderkey")
+    joined = bucketed_merge_join(
+        lines, orders, on="l_orderkey", right_on="o_orderkey"
+    )
 
     def per_cell(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -5389,7 +5395,7 @@ def repeat_purchase_stats(
     import numpy as np
 
     from .dedup import shuffle_blocks
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     def lre(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -5407,7 +5413,7 @@ def repeat_purchase_stats(
     lp = lineitem.select_columns(["l_orderkey", "l_partkey"]).map_batches(
         lre, batch_format="pyarrow"
     )
-    joined = hash_join(
+    joined = bucketed_merge_join(
         lp,
         orders.select_columns(["o_orderkey", "o_custkey"]),
         on="l_orderkey",

@@ -15,6 +15,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from . import apply_per_partition
+
 P = 12                 # 4096 registers; relative error ~ 1.04/sqrt(2^p) ~ 1.6%
 M = 1 << P
 _ALPHA = 0.7213 / (1 + 1.079 / M)
@@ -834,13 +836,11 @@ def cms_token_counts(
             acc += np.frombuffer(p, dtype=np.int64)
         return pd.DataFrame({"payload": [acc.tobytes()]})
 
-    parts = (
-        ds.select_columns(["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .take_all()
-    )
+    parts = apply_per_partition(
+        ds.select_columns(["text"]).map_batches(partial, batch_format="pyarrow"),
+        "cb",
+        merge_bucket,
+    ).take_all()
     grid = np.zeros(CMS_DEPTH * width, dtype=np.int64)
     for r in parts:
         grid += np.frombuffer(r["payload"], dtype=np.int64)

@@ -604,12 +604,13 @@ def vocab_counts(ds):
     each token exactly once globally.
 
     Per-batch combiner (:func:`_vocab_partial`) -> ONE coarse-bucketed
-    merge (~1024 hash buckets of tokens, polars sub-groupby inside each
-    bucket — the repo's standard many-small-keys idiom): the shuffle
-    carries (token, n) partials, never text, and per-group scheduling
-    overhead is paid 1024 times, not once per distinct token."""
+    merge (~1024 hash buckets of tokens sorted into blocks, one polars
+    sub-groupby per block — the repo's standard many-small-keys idiom):
+    the shuffle carries (token, n) partials, never text, and the UDF
+    runs once per sorted block, not once per distinct token."""
     import polars as pl
 
+    from . import apply_per_partition
     from .dedup import shuffle_blocks
 
     def vocab_partial(batch: pa.Table) -> pa.Table:
@@ -630,12 +631,13 @@ def vocab_counts(ds):
             .to_arrow()
         )
 
-    return (
+    return apply_per_partition(
         ds.select_columns(["text"])
         .map_batches(vocab_partial, batch_format="pyarrow")
-        .repartition(shuffle_blocks())
-        .groupby("cb")
-        .map_groups(merge_bucket, batch_format="pyarrow")
+        .repartition(shuffle_blocks()),
+        "cb",
+        merge_bucket,
+        batch_format="pyarrow",
     )
 
 
@@ -1839,7 +1841,7 @@ def vocab_growth(ds, seed: int = 7, n_slices: int = 10, n_docs: int | None = Non
 
     from . import bucketed_group_apply
     from .dedup import seeded_shuffle_rank
-    from .joins import hash_join
+    from .joins import bucketed_merge_join
 
     ranks = seeded_shuffle_rank(ds.select_columns(["doc_id"]), seed=seed)
     if n_docs is None:
@@ -1850,7 +1852,7 @@ def vocab_growth(ds, seed: int = 7, n_slices: int = 10, n_docs: int | None = Non
         n_docs * np.arange(1, n_slices + 1) / float(n_slices)
     ).astype(np.int64)
 
-    joined = hash_join(
+    joined = bucketed_merge_join(
         ds.select_columns(["doc_id", "text"]),
         ranks,
         on="doc_id",

@@ -1170,11 +1170,13 @@ def q_lineitem_agg(sf_dir: str) -> rd.Dataset:
 
 
 def q_orders_by_nation(sf_dir: str) -> rd.Dataset:
-    """Native hash join (Dataset.join) orders x customer -> per-nation
-    aggregate. Orders are partial-aggregated per custkey INSIDE map_batches
-    before the join (the join is against a per-custkey dimension, so the
-    probe side shrinks ~10x and the shuffle moves partials, not rows)."""
-    from .functions.joins import hash_join
+    """Bucketed hash join (joins.bucketed_merge_join) orders x customer ->
+    per-nation aggregate. Orders are partial-aggregated per custkey INSIDE
+    map_batches before the join (the join is against a per-custkey
+    dimension, so the probe side shrinks ~10x and the shuffle moves
+    partials, not rows) — the difference from
+    q_orders_by_nation_bucketed, which joins raw order rows."""
+    from .functions.joins import bucketed_merge_join
 
     orders = _read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
@@ -1199,7 +1201,9 @@ def q_orders_by_nation(sf_dir: str) -> rd.Dataset:
     order_partials = orders.map_batches(
         pre_agg, batch_format="pyarrow", batch_size=16384
     )
-    joined = hash_join(order_partials, cust, on="o_custkey", right_on="c_custkey")
+    joined = bucketed_merge_join(
+        order_partials, cust, on="o_custkey", right_on="c_custkey"
+    )
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -1229,8 +1233,8 @@ def q_orders_by_nation(sf_dir: str) -> rd.Dataset:
 
 
 def q_orders_by_nation_bucketed(sf_dir: str) -> rd.Dataset:
-    """Same result via the explicit bucketed pandas-merge join (portable
-    fallback; same oracle SQL)."""
+    """Same result via the bucketed join over raw order rows (no
+    per-custkey pre-aggregation; same oracle SQL)."""
     from .functions.joins import bucketed_merge_join
 
     orders = _read_parquet(
@@ -2196,7 +2200,7 @@ def q_ship_latency(sf_dir: str) -> rd.Dataset:
     distinct day values — the shuffle never carries the measure)."""
     import numpy as np
 
-    from .functions.joins import hash_join
+    from .functions.joins import bucketed_merge_join
     from .functions.sketches import grouped_hist_quantiles
 
     DAY_US = 86_400_000_000
@@ -2207,7 +2211,7 @@ def q_ship_latency(sf_dir: str) -> rd.Dataset:
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
     )
-    joined = hash_join(li, o, on="l_orderkey", right_on="o_orderkey")
+    joined = bucketed_merge_join(li, o, on="l_orderkey", right_on="o_orderkey")
 
     def diff(batch: "pa.Table") -> "pa.Table":
         d = (
@@ -3327,7 +3331,7 @@ def q_funnel_24h(sf_dir: str) -> pa.Table:
 def q_scd2(sf_dir: str) -> rd.Dataset:
     """SCD Type-2 validity intervals of consecutive equal event_type
     runs per user ((ts, event_id) total order; valid_to = next run's
-    start, NULL while current) — all-integer."""
+    start, -1 while current) — all-integer, no NULLs."""
     return events.scd2_intervals(
         _read_parquet(
             f"{sf_dir}/events.parquet",
@@ -4908,8 +4912,8 @@ def _oracle_sql_base() -> dict:
             " min(us)::BIGINT AS valid_from_us,"
             " count(*)::BIGINT AS n_events FROM g GROUP BY 1, 2, 3)"
             " SELECT user_id, event_type, valid_from_us,"
-            " lead(valid_from_us) OVER (PARTITION BY user_id"
-            " ORDER BY valid_from_us) AS valid_to_us, n_events FROM r"
+            " coalesce(lead(valid_from_us) OVER (PARTITION BY user_id"
+            " ORDER BY valid_from_us), -1) AS valid_to_us, n_events FROM r"
         ),
         "q_l_diversity": (
             "WITH f AS (SELECT lang, n_chars // 500 AS bucket, source"

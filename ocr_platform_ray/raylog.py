@@ -2,15 +2,16 @@
 
 Ray's streaming executor warns "Operator produced a RefBundle with a
 different schema than the previous one" whenever an operator's output
-mixes schema'd bundles with EMPTY ones. For a sort-based
-``groupby(key).map_groups(...)`` whose distinct key count is below the
-partition count — every few-key reduction in this repo (8 k-means
-clusters over 32 blocks, etc.) — the sort legitimately produces empty
-range partitions, and map fns are never invoked on empty blocks, so the
-empty bundles can't be given a schema from user code at all. The warning
-is a false positive for that shape (the data bundles all agree; only the
-empty ones "diverge" to no-schema), so the entry points that own a Ray
-session (bench.py, the job CLI, tests) install this filter.
+mixes schema'd bundles with EMPTY ones. For a sort-based shuffle
+(``groupby(key).map_groups(...)`` or ``functions.apply_per_partition``)
+whose distinct key count is below the partition count — every few-key
+reduction in this repo (8 k-means clusters over 32 blocks, etc.) — the
+sort legitimately produces empty range partitions, and map fns are never
+invoked on empty blocks, so the empty bundles can't be given a schema
+from user code at all. The warning is a false positive for that shape
+(the data bundles all agree; only the empty ones "diverge" to
+no-schema), so the entry points that own a Ray session (bench.py, the
+job CLI, tests) install this filter.
 
 The filter is NARROW: it drops the message only when the diverging side
 is an empty/None schema (Ray's `_unify_ref_bundle_schema` emits

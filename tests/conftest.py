@@ -12,8 +12,6 @@ def ray_session():
         ignore_reinit_error=True,
         logging_level="ERROR",
     )
-    import os
-
     from ray.data import DataContext
 
     from ocr_platform_ray.raylog import suppress_empty_sort_schema_warning
@@ -21,7 +19,5 @@ def ray_session():
     suppress_empty_sort_schema_warning()
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    if os.environ.get("GRAFT_SHUFFLE") == "hash":
-        ctx.shuffle_strategy = "hash_shuffle"
     yield
     ray.shutdown()

@@ -221,20 +221,60 @@ class TestEvents:
 
 
 class TestJoins:
-    def test_hash_join_matches_bucketed(self):
-        import pyarrow as pa
+    @staticmethod
+    def _rows(df, cols):
+        """Order-free row list with null-free int keys compared as ints."""
+        return sorted(map(tuple, df[cols].astype("int64").to_numpy().tolist()))
 
-        from ocr_platform_ray.functions.joins import bucketed_merge_join, hash_join
+    def test_bucketed_inner_matches_pandas_merge(self):
+        from ocr_platform_ray.functions.joins import bucketed_merge_join
 
+        rng = np.random.default_rng(3)
+        # null keys on both sides: SQL equality matches them with nothing
+        lrows = [{"k": None if i % 11 == 0 else int(rng.integers(0, 12)),
+                  "lv": i} for i in range(60)]
+        rrows = [{"rk": None if i % 7 == 0 else i % 9, "rv": i * 10}
+                 for i in range(20)]
+        ldf = pd.DataFrame(lrows).dropna(subset=["k"])
+        rdf = pd.DataFrame(rrows).dropna(subset=["rk"])
+        left = _ds(lrows).repartition(3)
+
+        # distinct key names
+        got = bucketed_merge_join(
+            left, _ds(rrows).repartition(2), on="k", right_on="rk",
+            n_buckets=4, how="inner",
+        ).to_pandas()
+        want = ldf.merge(rdf, left_on="k", right_on="rk")
+        cols = ["k", "lv", "rk", "rv"]
+        assert sorted(got.columns) == cols
+        assert len(want) > 0
+        assert self._rows(got, cols) == self._rows(want, cols)
+
+        # one shared key name: a single key column in the output
+        shared = [{"k": r["rk"], "rv": r["rv"]} for r in rrows]
+        got = bucketed_merge_join(
+            left, _ds(shared).repartition(2), on="k", n_buckets=4, how="inner"
+        ).to_pandas()
+        want = ldf.merge(rdf.rename(columns={"rk": "k"}), on="k")
+        cols = ["k", "lv", "rv"]
+        assert sorted(got.columns) == cols
+        assert self._rows(got, cols) == self._rows(want, cols)
+
+    def test_bucketed_inner_empty_side_with_schema(self):
+        from ocr_platform_ray.functions.joins import bucketed_merge_join
+
+        lsch = pa.schema([("k", pa.int64()), ("lv", pa.int64())])
+        rsch = pa.schema([("rk", pa.int64()), ("rv", pa.int64())])
         left = _ds([{"k": i % 5, "lv": i} for i in range(40)])
         right = _ds([{"rk": i, "rv": i * 10} for i in range(5)])
-        a = hash_join(left, right, on="k", right_on="rk", num_partitions=4).to_pandas()
-        b = bucketed_merge_join(left, right, on="k", right_on="rk").to_pandas()
-        key = ["k", "lv"]
-        a2 = a.sort_values(key).reset_index(drop=True)
-        b2 = b[a.columns].sort_values(key).reset_index(drop=True)
-        assert len(a2) == 40
-        assert a2["rv"].tolist() == b2["rv"].tolist()
+        for lhs, rhs in ((left.filter(expr="lv < 0"), right),
+                         (left, right.filter(expr="rv < 0"))):
+            got = bucketed_merge_join(
+                lhs, rhs, on="k", right_on="rk", how="inner",
+                left_schema=lsch, right_schema=rsch,
+            ).to_pandas()
+            assert len(got) == 0
+            assert list(got.columns) in ([], ["k", "lv", "rk", "rv"])
 
     def test_join_modes_left_semi_anti(self):
         from ocr_platform_ray.functions.joins import bucketed_merge_join
@@ -815,7 +855,8 @@ class TestInvertedIndexAndPmi:
                 else:
                     first[g] = (r["doc_id"], p)
         out = duplicate_ngram_occurrences(_ds(rows).repartition(4), n=n)
-        got = set(zip(*(out.to_pandas()[c] for c in ("doc_id", "pos"))))
+        df = out.to_pandas()  # one execution: row order may differ per run
+        got = set(zip(df["doc_id"], df["pos"]))
         assert got == expect
 
     def test_cross_source_duplication_planted(self):

@@ -57,6 +57,46 @@ class TestBucketedGroupApply:
         ).to_pandas()
         assert "cb" not in out.columns
 
+    def test_one_call_per_sorted_block(self, ray_session):
+        from ocr_platform_ray.functions import bucketed_group_apply
+
+        rng = np.random.RandomState(11)
+        df = pd.DataFrame({"k": rng.randint(0, 200, 2000), "v": rng.rand(2000)})
+
+        def per_call(g):
+            # one output row per call: the rows and key values it saw
+            return pd.DataFrame(
+                {"n": [len(g)], "keys": [sorted(set(g["k"].tolist()))]}
+            )
+
+        calls = bucketed_group_apply(
+            rd.from_pandas(df).repartition(7), "k", per_call, n_buckets=16
+        ).to_pandas()
+        # 7 input blocks sort into 7 blocks: at most one call each, not
+        # one per bucket (16)
+        assert 1 <= len(calls) <= 7
+        assert (calls["n"] > 0).all()
+        seen = [k for ks in calls["keys"] for k in ks]
+        assert len(seen) == len(set(seen)) == df["k"].nunique()
+        assert calls["n"].sum() == len(df)
+
+    def test_apply_per_partition_skips_empty_blocks(self, ray_session):
+        from ocr_platform_ray.functions import apply_per_partition
+
+        # 2 key values over 8 blocks: most range partitions of the sort
+        # are empty, and none of them reaches fn
+        df = pd.DataFrame({"k": np.arange(400) % 2, "v": np.arange(400)})
+
+        def per_call(g):
+            return pd.DataFrame({"n": [len(g)], "n_keys": [g["k"].nunique()]})
+
+        calls = apply_per_partition(
+            rd.from_pandas(df).repartition(8), "k", per_call
+        ).to_pandas()
+        assert 1 <= len(calls) <= 2
+        assert (calls["n"] > 0).all()
+        assert calls["n"].sum() == 400 and calls["n_keys"].sum() == 2
+
 
 class TestDedupLines:
     def test_planted_duplicate_lines(self, ray_session):

@@ -82,12 +82,13 @@ def test_scd2_runs_and_intervals():
     u1 = out[out["user_id"] == 1]
     assert u1["event_type"].tolist() == ["view", "click", "view"]
     assert u1["n_events"].tolist() == [2, 1, 1]
-    # valid_to chains to the next run's start; last run open (NULL)
+    # valid_to chains to the next run's start; last run open (-1)
+    assert out["valid_to_us"].dtype == "int64"
     assert u1["valid_to_us"].iloc[0] == u1["valid_from_us"].iloc[1]
     assert u1["valid_to_us"].iloc[1] == u1["valid_from_us"].iloc[2]
-    assert pd.isna(u1["valid_to_us"].iloc[2])
+    assert u1["valid_to_us"].iloc[2] == -1
     u2 = out[out["user_id"] == 2]
-    assert len(u2) == 1 and pd.isna(u2["valid_to_us"].iloc[0])
+    assert len(u2) == 1 and u2["valid_to_us"].iloc[0] == -1
 
 
 def test_scd2_ts_tie_broken_by_event_id():
@@ -103,3 +104,35 @@ def test_scd2_ts_tie_broken_by_event_id():
     # both at the same ts: run order is view (id 3) then click (id 7)
     assert out["event_type"].tolist() == ["view", "click"]
     assert out["n_events"].tolist() == [1, 1]
+
+
+def test_checker_flags_nullable_and_mixed_dtypes():
+    # the sweep's dtype gate: the pre-fix q_scd2 column (Int64 with <NA>)
+    # and a mixed object column are flagged; plain NaN/None are not
+    import importlib.util
+    import os
+
+    import numpy as np
+
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "tools", "check_correctness.py",
+    )
+    spec = importlib.util.spec_from_file_location("check_correctness", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    df = pd.DataFrame(
+        {
+            "valid_to_us": pd.array([5, None], dtype="Int64"),
+            "flag": pd.array([True, None], dtype="boolean"),
+            "mixed": ["x", 1],
+            "text": ["x", None],
+            "f": [1.0, np.nan],
+            "n": np.array([1, -1], dtype=np.int64),
+        }
+    )
+    assert mod.dtype_flags(df) == [
+        "valid_to_us: nullable Int64",
+        "flag: nullable boolean",
+        "mixed: mixed object int/str",
+    ]

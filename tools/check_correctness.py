@@ -1,7 +1,10 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf, compare row-count + column names + order-insensitive
 value hash against oracle_sql() via DuckDB. A query with no oracle must
-return the row count named in ``ROWS_ONLY``. Usage:
+return the row count named in ``ROWS_ONLY``. Every output must also be
+free of the dtypes in :func:`dtype_flags`. Each query's name goes to
+stderr before it runs, so a crash of the whole process names its query.
+Usage:
 
     python tools/check_correctness.py [sf_dir] [query ...]
 """
@@ -40,6 +43,28 @@ def value_hash(df) -> str:
         df[c] = df[c].map(lambda v: repr(v))
     df = df.sort_values(list(df.columns)).reset_index(drop=True)
     return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
+
+
+def dtype_flags(df) -> list[str]:
+    """Output columns whose pandas dtype can hash differently from the
+    oracle's after pandas coercion: a nullable extension dtype (``Int64``,
+    ``boolean``, ``string`` — NULL reads ``<NA>``, not ``nan``/``None``)
+    or an object column holding more than one Python type."""
+    import pandas as pd
+
+    def is_null(v) -> bool:
+        return v is None or v is pd.NA or (isinstance(v, float) and v != v)
+
+    flags = []
+    for c in df.columns:
+        dt = df[c].dtype
+        if getattr(dt, "na_value", None) is pd.NA:
+            flags.append(f"{c}: nullable {dt}")
+        elif dt == object:
+            kinds = sorted({type(v).__name__ for v in df[c] if not is_null(v)})
+            if len(kinds) > 1:
+                flags.append(f"{c}: mixed object {'/'.join(kinds)}")
+    return flags
 
 
 # Rows-only queries (no value oracle) and the row count each must return.
@@ -125,8 +150,6 @@ def main():
     suppress_empty_sort_schema_warning()
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    if os.environ.get("GRAFT_SHUFFLE") == "hash":
-        ctx.shuffle_strategy = "hash_shuffle"
 
     import __ray_entry__ as entrymod
 
@@ -143,8 +166,10 @@ def main():
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        print(f"running {name}", file=sys.stderr, flush=True)
         try:
             got = to_pandas(fn(sf_dir))
+            flags = dtype_flags(got)
             if name in oracles:
                 want = con.execute(oracles[name]).fetchdf()
                 ok_rows = len(got) == len(want)
@@ -155,7 +180,7 @@ def main():
                     "rows": [len(got), len(want)],
                     "cols_match": ok_cols,
                     "hash_match": ok_hash,
-                    "ok": ok_rows and ok_cols and ok_hash,
+                    "ok": ok_rows and ok_cols and ok_hash and not flags,
                 }
                 if not ok_hash and ok_cols and ok_rows:
                     # show first differing row for debugging
@@ -180,8 +205,10 @@ def main():
                         "SELECT doc_id FROM documents"
                     ).fetchdf()["doc_id"].tolist()
                     ok = ok and sorted(got["doc_id"].tolist()) == sorted(want_ids)
-                results[name] = {"rows": [len(got), want_rows], "ok": ok,
-                                 "rows_only": True}
+                results[name] = {"rows": [len(got), want_rows],
+                                 "ok": ok and not flags, "rows_only": True}
+            if flags:
+                results[name]["dtype_flags"] = flags
         except Exception as e:  # noqa: BLE001
             results[name] = {"ok": False, "error": f"{type(e).__name__}: {e}"}
     print(json.dumps(results, indent=2, default=str))
