@@ -6,10 +6,14 @@ num_cpus=$RAY_GRAFT_CPUS (default 32) and print ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N, ...extras}
 
---scaling: run the headline extraction twice in FRESH subprocesses at
-num_cpus=8 and num_cpus=32 on the same input and print throughput at both
-plus scaling efficiency = (docs_s_32 / docs_s_8) / 4 (the sandbox evidence
-for the north_rule's two-cluster-size criterion).
+--scaling: run the headline extraction in a FRESH subprocess per CPU
+level (default num_cpus 1, 2 and 4, never above ``os.cpu_count()``;
+GRAFT_SCALE_LEVELS=a,b,... overrides) on the same input and print
+throughput at each level, the efficiency of every pair of levels, e.g.
+efficiency_1_2 = (docs_s_2 / docs_s_1) / 2, ``cpu_count`` and the
+hypervisor steal fraction over the run (local evidence for the
+north_rule's two-cluster-size criterion). ``value`` is the lowest
+efficiency between neighbouring levels.
 """
 
 from __future__ import annotations
@@ -477,36 +481,38 @@ def _headline_subprocess(ncpu: int) -> dict:
 
 
 def main_scaling() -> dict:
-    # On a 32-core box the num_cpus=32 session contends with the driver,
-    # raylet and object-store threads while a small session has idle
-    # headroom, biasing the ratio. Default to 4 -> 16 (same 4x factor,
-    # headroom at BOTH levels); override with GRAFT_SCALE_LO/HI, or set
-    # GRAFT_SCALE_LEVELS to a comma list (e.g. "4,8,16") for a multi-point
-    # run reporting every pairwise efficiency.
-    levels_env = os.environ.get("GRAFT_SCALE_LEVELS")
-    if levels_env:
-        levels = sorted({int(x) for x in levels_env.split(",")})
-    else:
-        levels = sorted({int(os.environ.get("GRAFT_SCALE_LO", "4")),
-                         int(os.environ.get("GRAFT_SCALE_HI", "16"))})
+    # Levels above the machine's CPU count oversubscribe it and measure
+    # contention, not scaling, so every level is capped at os.cpu_count().
+    from perfbench import procs
+
+    ncpu = os.cpu_count() or 1
+    levels_env = os.environ.get("GRAFT_SCALE_LEVELS", "1,2,4")
+    levels = sorted({min(int(x), ncpu) for x in levels_env.split(",")})
+    ticks = procs.cpu_ticks()
     runs = {n: _headline_subprocess(n) for n in levels}
-    lo, hi = levels[0], levels[-1]
-    eff = (runs[hi]["docs_per_s"] / runs[lo]["docs_per_s"]) / (hi / lo)
+    steal = procs.steal_frac(ticks, procs.cpu_ticks())
+    effs = {
+        (a, b): (runs[b]["docs_per_s"] / runs[a]["docs_per_s"]) / (b / a)
+        for a in levels for b in levels if b > a
+    }
+    neighbours = [effs[a, b] for a, b in zip(levels, levels[1:])]
+    eff = round(min(neighbours), 3) if neighbours else None
     out = {
         "metric": (f"scaling efficiency (docs/s, num_cpus "
-                   f"{'->'.join(str(n) for n in levels)}, fresh sessions)"),
-        "value": round(eff, 3),
+                   f"{'->'.join(str(n) for n in levels)}, fresh sessions, "
+                   f"lowest between neighbouring levels)"),
+        "value": eff,
         "unit": "efficiency",
         "sf": SF_DIR,
-        "scaling_efficiency": round(eff, 3),
+        "scaling_efficiency": eff,
+        "cpu_count": ncpu,
+        "steal_frac": round(steal, 4),
     }
     for n in levels:
         out[f"sec_{n}"] = runs[n]["value"]
         out[f"docs_per_s_{n}"] = runs[n]["docs_per_s"]
-    for a, b in ((a, b) for a in levels for b in levels if b > a):
-        out[f"efficiency_{a}_{b}"] = round(
-            (runs[b]["docs_per_s"] / runs[a]["docs_per_s"]) / (b / a), 3
-        )
+    for (a, b), e in effs.items():
+        out[f"efficiency_{a}_{b}"] = round(e, 3)
     return out
 
 

@@ -93,23 +93,44 @@ def _cropped_templates() -> dict[int, tuple[list[str], np.ndarray]]:
 
 TPL_BY_WIDTH: dict[int, tuple[list[str], np.ndarray]] = _cropped_templates()
 
-# Flattened float32 templates + per-template ink counts for the matmul
-# match in _decode_group: hits = 7w - |cells| - |tpl| + 2*(cells @ tpl.T).
-# Float32 is exact here (every term is an integer <= 35 << 2^24).
-_TPL_MATMUL: dict[int, tuple[np.ndarray, np.ndarray]] = {
-    w: (
-        mats.reshape(len(chars), -1).astype(np.float32),
-        mats.reshape(len(chars), -1).sum(axis=1).astype(np.float32),
-    )
-    for w, (chars, mats) in TPL_BY_WIDTH.items()
-}
+# Every template width's cell columns side by side: column c of a run's
+# cell grid samples cell _CELL_J[c] of _CELL_W[c] across the run, so one
+# gather and one matmul match a run against every width at once.
+_WIDTHS = sorted(TPL_BY_WIDTH)
+_CELL_J = np.concatenate([np.arange(w) for w in _WIDTHS])
+_CELL_W = np.concatenate([np.full(w, w) for w in _WIDTHS])
+_N_TPL = sum(len(TPL_BY_WIDTH[w][0]) for w in _WIDTHS)
 
 
-# Char code of every (width group, template) pair, groups in sorted width
-# order as _decode_group walks them, for array-built decoded text.
-_GROUP_BASE = np.cumsum([0] + [len(TPL_BY_WIDTH[w][0]) for w in sorted(TPL_BY_WIDTH)])[:-1]
+def _match_matrix() -> np.ndarray:
+    """(7 * cells, templates + widths) float32 matrix for _decode_group:
+    a run's flattened (7, cells) grid times it gives 2*(cells . tpl) for
+    every template (widths in sorted order, CHARSET order within one),
+    then |cells| of each width's own columns. With the template ink
+    counts |tpl|, hits = 7w - |cells| - |tpl| + 2*(cells . tpl); every
+    term is an integer <= 70, exact in float32."""
+    m = np.zeros((GLYPH_H, len(_CELL_J), _N_TPL + len(_WIDTHS)), dtype=np.float32)
+    col = k = 0
+    for g, w in enumerate(_WIDTHS):
+        mats = TPL_BY_WIDTH[w][1]  # (t, 7, w)
+        m[:, col : col + w, k : k + len(mats)] = 2 * mats.transpose(1, 2, 0)
+        m[:, col : col + w, _N_TPL + g] = 1
+        col += w
+        k += len(mats)
+    return m.reshape(GLYPH_H * len(_CELL_J), -1)
+
+
+_TPL_MATRIX = _match_matrix()
+_TPL_POP = np.concatenate(
+    [TPL_BY_WIDTH[w][1].reshape(len(TPL_BY_WIDTH[w][0]), -1).sum(axis=1) for w in _WIDTHS]
+).astype(np.float32)
+
+
+# First template column of each width in _TPL_MATRIX (then the total),
+# and the char code of every template column, for array-built text.
+_GROUP_BASE = np.cumsum([0] + [len(TPL_BY_WIDTH[w][0]) for w in _WIDTHS])
 _CHAR_CODES = np.asarray(
-    [ord(ch) for w in sorted(TPL_BY_WIDTH) for ch in TPL_BY_WIDTH[w][0]], dtype=np.uint32
+    [ord(ch) for w in _WIDTHS for ch in TPL_BY_WIDTH[w][0]], dtype=np.uint32
 )
 _BAND_SEP = "\x00"  # never a decoded char
 
@@ -142,25 +163,84 @@ def _scaled_glyph(ch: str, s: int) -> np.ndarray:
     return got
 
 
-_WORD_RASTER_CACHE: dict[tuple[str, int], np.ndarray] = {}
+# per scale s: {word: raster or None}
+_WORD_RASTER_CACHE: dict[int, dict[str, "np.ndarray | None"]] = {}
 
 
-def _word_raster(word: str, s: int) -> np.ndarray:
-    """Rendered raster of one space-free word of KNOWN glyphs, cached —
-    the corpus draws from a small vocab, so per-word pasting replaces
-    per-char pasting on the render hot path."""
-    key = (word, s)
-    got = _WORD_RASTER_CACHE.get(key)
+def _word_rasters(s: int) -> dict[str, "np.ndarray | None"]:
+    got = _WORD_RASTER_CACHE.get(s)
     if got is None:
-        got = np.zeros((GLYPH_H * s, text_width(word, s)), dtype=np.uint8)
-        x = 0
-        for i, ch in enumerate(word):
-            if i:
-                x += CHAR_GAP * s
-            got[:, x : x + GLYPH_W * s] = _scaled_glyph(ch, s)
-            x += GLYPH_W * s
-        _WORD_RASTER_CACHE[key] = got
+        got = _WORD_RASTER_CACHE[s] = {}
     return got
+
+
+def _word_raster(word: str, s: int) -> "np.ndarray | None":
+    """Rendered raster of one space-free word, cached: its known glyphs
+    with s blank columns between adjacent ones; unknown characters are
+    skipped (no advance, no gap). None when no glyph is known. The corpus
+    draws from a small vocab, so lines paste whole words, not chars."""
+    cache = _word_rasters(s)
+    got = cache.get(word, False)
+    if got is False:
+        clean = "".join(ch for ch in word if ch in GLYPHS)
+        got = None
+        if clean:
+            got = np.zeros((GLYPH_H * s, text_width(clean, s)), dtype=np.uint8)
+            x = 0
+            for i, ch in enumerate(clean):
+                if i:
+                    x += CHAR_GAP * s
+                got[:, x : x + GLYPH_W * s] = _scaled_glyph(ch, s)
+                x += GLYPH_W * s
+        cache[word] = got
+    return got
+
+
+_BLANK_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _blank(s: int, cols: int) -> np.ndarray:
+    key = (s, cols)
+    got = _BLANK_CACHE.get(key)
+    if got is None:
+        got = _BLANK_CACHE[key] = np.zeros((GLYPH_H * s, cols), dtype=np.uint8)
+    return got
+
+
+def line_raster(segments: list[tuple[int, str]], s: int) -> "tuple[int, np.ndarray] | None":
+    """One raster for a whole rendered line: ``segments`` are (x, text)
+    pairs, left to right, each starting at or after the previous one's
+    ``text_width`` end. -> (x of its first column, raster), or None
+    when nothing in the line renders.
+
+    Each space advances WORD_GAP*s and each word pastes its known glyphs
+    (``render_line`` is this walk over one segment). The cached word
+    rasters and the blank gaps between them are joined by one
+    ``np.concatenate``, so a line costs one paste, not one per word or
+    segment."""
+    pieces: list[np.ndarray] = []
+    x0 = end = 0
+    gap = WORD_GAP * s
+    cache = _word_rasters(s)
+    for x, text in segments:
+        pos = x
+        for i, word in enumerate(text.split(" ")):
+            if i:
+                pos += gap
+            r = cache.get(word, False)
+            if r is False:
+                r = _word_raster(word, s)
+            if r is None:
+                continue
+            if not pieces:
+                x0 = pos
+            elif pos > end:
+                pieces.append(_blank(s, pos - end))
+            pieces.append(r)
+            pos = end = pos + r.shape[1]
+    if not pieces:
+        return None
+    return x0, pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 
 def render_line(text: str, s: int) -> np.ndarray:
@@ -168,29 +248,14 @@ def render_line(text: str, s: int) -> np.ndarray:
 
     Unknown characters are skipped (no advance, no inter-glyph gap — the
     word renders as if the character were removed). Empty/blank text ->
-    (7*s, 0) array. Per-word rasters are cached; the pasted layout is
-    exactly the per-char walk this replaces (each space advances
-    WORD_GAP*s, known glyphs 5s plus s between adjacent glyphs)."""
-    cols = max(0, text_width(text, s))
-    out = np.zeros((GLYPH_H * s, cols), dtype=np.uint8)
-    x = 0
-    for i, word in enumerate(text.split(" ")):
-        if i:
-            x += WORD_GAP * s
-        clean = "".join(ch for ch in word if ch in GLYPHS)
-        if clean:
-            r = _word_raster(clean, s)
-            out[:, x : x + r.shape[1]] = r
-            x += r.shape[1]
+    (7*s, 0) array. The width is ``text_width`` (which counts unknown
+    characters), the pixels are ``line_raster``'s."""
+    out = np.zeros((GLYPH_H * s, max(0, text_width(text, s))), dtype=np.uint8)
+    got = line_raster([(0, text)], s)
+    if got is not None:
+        x, r = got
+        out[:, x : x + r.shape[1]] = r
     return out
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous True runs of a 1-D bool array as [start, stop) pairs."""
-    if mask.size == 0:
-        return []
-    idx = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
-    return [(int(idx[i]), int(idx[i + 1])) for i in range(0, len(idx), 2)]
 
 
 def decode_band(band: np.ndarray) -> tuple[str, float]:
@@ -198,10 +263,16 @@ def decode_band(band: np.ndarray) -> tuple[str, float]:
 
     conf = min over glyphs of template-match similarity (fraction of the 35
     cells agreeing with the best template); 1.0 when the band has no glyphs.
-    Deterministic: ties broken by CHARSET order. Thin wrapper over
-    ``decode_bands`` (the batched core) so every caller — oracle and
-    pipeline — shares one implementation."""
+    Deterministic: ties broken by CHARSET order. A batch of one over
+    ``decode_views``, so every caller — oracle and pipeline — shares one
+    implementation."""
     return decode_bands([band])[0]
+
+
+def decode_bands(bands: list[np.ndarray]) -> list[tuple[str, float]]:
+    """``decode_band`` over many binarized bands at once."""
+    texts, confs = decode_views(bands, ink=0)
+    return list(zip(texts, confs.tolist()))
 
 
 # Max total band columns per matching group. Bounds every temporary in the
@@ -214,133 +285,133 @@ def decode_band(band: np.ndarray) -> tuple[str, float]:
 _GROUP_COLS = 1 << 16
 
 
-def decode_bands(bands: list[np.ndarray]) -> list[tuple[str, float]]:
-    """Decode MANY binarized bands in vectorized passes.
+def _grid_rows(h: int) -> np.ndarray:
+    """The 7 rows of an h-row band sampled as the glyph cell grid."""
+    return np.minimum((np.arange(GLYPH_H) * h + h // 2) // GLYPH_H, h - 1)
 
-    Per-band prep (runs, row grid) stays per band; the template matching —
-    the bulk of the numpy dispatch overhead — runs over groups of bands
-    totalling ~_GROUP_COLS columns (per-run math is independent, so any
-    grouping is exactly equivalent to per-band decoding; the conformance
-    suite and the render/decode hypothesis roundtrip hold both equal).
-    Semantics per run: sample a cell grid per template width at cell
-    centers, best Hamming similarity wins, CHARSET-order ties within a
-    width, first width wins exact-ratio ties; spaces where the inter-run
-    gap exceeds 3*s of the run's band."""
-    results: list[tuple[str, float] | None] = [None] * len(bands)
-    pend: list[tuple[int, np.ndarray, np.ndarray, int]] = []
-    pend_cols = 0
-    for bi, band in enumerate(bands):
-        h = band.shape[0]
-        if h < GLYPH_H or band.shape[1] == 0:
-            results[bi] = ("", 1.0)
-            continue
-        col_on = band.any(axis=0)
-        if not col_on.any():
-            results[bi] = ("", 1.0)
-            continue
-        s = h // GLYPH_H  # integer scale estimate; exact for clean bands
-        rr = np.minimum((np.arange(GLYPH_H) * h + h // 2) // GLYPH_H, h - 1)
-        # inter-char ink gap can reach 3*s ('1'/'I' have blank edge cols);
-        # word gap >= 4*s
-        pend.append((bi, band[rr], col_on, 3 * max(1, s)))
-        pend_cols += band.shape[1]
-        if pend_cols >= _GROUP_COLS:
-            _decode_group(pend, results)
-            pend, pend_cols = [], 0
-    if pend:
-        _decode_group(pend, results)
-    return [r if r is not None else ("", 1.0) for r in results]
+
+def decode_views(views: list[np.ndarray], ink: int) -> tuple[list[str], np.ndarray]:
+    """Decode many text bands in a few array passes -> (texts, confs).
+
+    A band is any 2-D array whose pixels count as ink where ``> ink``
+    (bool bands with ``ink=0``, raw uint8 raster views with ``ink=127``);
+    one shorter than a glyph or with no columns decodes as ("", 1.0).
+    Bands are grouped by height: per group ONE ``np.concatenate`` of the
+    views (a blank column after each, so no glyph run crosses bands)
+    gives every column-ink mask with one ``any`` and every 7-row cell
+    grid with one row gather, whatever the group's size. The template
+    match then runs over the concatenated grids (``_decode_group``).
+    Semantics per band: glyph runs are runs of ink columns, each matched
+    at its cell centers, best Hamming similarity wins, CHARSET-order ties
+    within a width, first width wins exact-ratio ties; a space where the
+    gap to the previous run exceeds 3*s (s = height // 7)."""
+    n = len(views)
+    texts = [""] * n
+    confs = np.ones(n)
+    if not n:
+        return texts, confs
+    shape = np.array([v.shape for v in views], dtype=np.int64).reshape(n, 2)
+    hs = shape[:, 0]
+    live = np.flatnonzero((hs >= GLYPH_H) & (shape[:, 1] > 0))
+    if not live.size:
+        return texts, confs
+    order = live[np.argsort(hs[live], kind="stable")]
+    cuts = np.flatnonzero(np.diff(hs[order])) + 1
+    grids: list[np.ndarray] = []
+    masks: list[np.ndarray] = []
+    for members in np.split(order, cuts):
+        h = int(hs[members[0]])
+        sep = np.zeros((h, 1), dtype=views[members[0]].dtype)
+        block = np.concatenate([p for b in members.tolist() for p in (views[b], sep)], axis=1)
+        masks.append(block.max(axis=0) > ink)
+        grids.append(block[_grid_rows(h)] > ink)
+    grid = grids[0] if len(grids) == 1 else np.concatenate(grids, axis=1)
+    mask = masks[0] if len(masks) == 1 else np.concatenate(masks)
+    widths = shape[order, 1] + 1  # each band's columns plus its separator
+    start = np.cumsum(widths) - widths
+    gaps = 3 * np.maximum(1, hs[order] // GLYPH_H)
+    # match in groups of ~_GROUP_COLS columns, cut at band boundaries
+    lo = 0
+    got: list[str] = []
+    got_conf: list[np.ndarray] = []
+    while lo < len(order):
+        hi = max(lo + 1, int(np.searchsorted(start, start[lo] + _GROUP_COLS)))
+        c0 = int(start[lo])
+        c1 = int(start[hi - 1] + widths[hi - 1])
+        t, c = _decode_group(grid[:, c0:c1], mask[c0:c1], start[lo:hi] - c0, gaps[lo:hi])
+        got.extend(t)
+        got_conf.append(c)
+        lo = hi
+    for b, t in zip(order.tolist(), got):
+        texts[b] = t
+    confs[order] = np.concatenate(got_conf)
+    return texts, confs
 
 
 def _decode_group(
-    pend: list[tuple[int, np.ndarray, np.ndarray, int]],
-    results: list,
-) -> None:
-    """Vectorized template matching over one group of prepared bands.
+    grid: np.ndarray, mask: np.ndarray, start: np.ndarray, gaps: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Vectorized template matching over concatenated bands.
 
-    ``pend`` entries are (band index, (7, w) row grid, per-column ink
-    mask, space gap); decoded (text, conf) land in ``results`` per band.
+    ``grid`` is the (7, cols) cell-row grid and ``mask`` the column-ink
+    mask of bands laid side by side, band b from column ``start[b]``
+    with a blank column after it; ``gaps[b]`` is its space gap.
+    -> (text, conf) per band, ("", 1.0) for a band with no ink.
 
-    Glyph-run extraction happens here in ONE diff/flatnonzero pass over
-    the whole group: the per-band ink masks are concatenated with a False
-    separator column between bands, so no run can cross a band boundary —
-    exactly equivalent to running ``_runs`` per band (the conformance
-    suite and render/decode roundtrip pin this), without 2 numpy
-    dispatches per band."""
-    grids = [g for (_bi, g, _col_on, _gap) in pend]
-    rows_grid = grids[0] if len(grids) == 1 else np.hstack(grids)
-    widths_arr = np.asarray([g.shape[1] for g in grids], dtype=np.int64)
-    # grid-column offset of each band, and its offset in the padded mask
-    # (one separator col per preceding band)
-    grid_off = np.concatenate(([0], np.cumsum(widths_arr)))
-    pad_off = grid_off[:-1] + np.arange(len(pend))
-    masks: list[np.ndarray] = []
-    sep = np.zeros(1, dtype=bool)
-    for (_bi, _g, col_on, _gap) in pend:
-        masks.append(col_on)
-        masks.append(sep)
-    mask_all = np.concatenate(masks[:-1]) if len(masks) > 1 else masks[0]
-    idx = np.flatnonzero(
-        np.diff(np.concatenate(([0], mask_all.view(np.int8), [0])))
-    )
-    px0, px1 = idx[0::2], idx[1::2]  # run bounds in padded coordinates
-    # assign each run to its band, then shift to grid coordinates
-    band_of = np.searchsorted(pad_off, px0, side="right") - 1
-    shift = pad_off[band_of] - grid_off[:-1][band_of]
-    x0 = px0 - shift
-    x1 = px1 - shift
-    # first run of each band (runs come out sorted by position)
-    run_lo = np.searchsorted(band_of, np.arange(len(pend)), side="left")
+    Glyph runs come from ONE diff over the whole mask (the blank columns
+    keep every run inside its band), are matched against every template
+    of every width with one matmul, and every band's text is assembled
+    from one utf-32 buffer."""
+    nb = len(start)
+    idx = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
+    x0, x1 = idx[0::2], idx[1::2]  # runs in grid coordinates
+    band_of = np.searchsorted(start, x0, side="right") - 1
     wrun = x1 - x0
     n = len(x0)
+    # (n, cells) cell-center columns per run, every width's side by side
+    # (offsets stay in-run); one gather, one matmul for every template
+    cc = x0[:, None] + np.minimum(
+        (_CELL_J * wrun[:, None] + (wrun // 2)[:, None]) // _CELL_W, (wrun - 1)[:, None]
+    )
+    cells = (
+        np.transpose(grid[:, cc], (1, 0, 2))
+        .reshape(n, GLYPH_H * len(_CELL_J))
+        .astype(np.float32)
+    )
+    dot = cells @ _TPL_MATRIX
+    # 7w - |cells| is the same for every template of one width, so each
+    # width's argmax needs only 2*(cells . tpl) - |tpl|; its first max is
+    # the CHARSET-order tie-break. Across widths the higher ratio
+    # hits / 7w wins, the first width on an exact tie.
+    score = dot[:, :_N_TPL] - _TPL_POP
+    rows = np.arange(n)
     best_hits = np.full(n, -1, dtype=np.int64)
     best_cells = np.full(n, -1, dtype=np.int64)
     best_k = np.zeros(n, dtype=np.int64)
-    best_group = np.zeros(n, dtype=np.int64)
-    widths = sorted(TPL_BY_WIDTH)
-    for gi, width in enumerate(widths):
-        tflat, tpop = _TPL_MATMUL[width]
-        j = np.arange(width)
-        cc = x0[:, None] + np.minimum(
-            (j[None, :] * wrun[:, None] + (wrun // 2)[:, None]) // width,
-            (wrun - 1)[:, None],
-        )  # (n, width) cell-center columns per run (offsets stay in-band)
-        # agreement count via BLAS instead of an (n, t, 7w) broadcast
-        # compare: hits = 7w - |cells| - |tpl| + 2*(cells @ tpl.T); every
-        # term is an integer <= 35, exact in float32, so argmax/tie-break
-        # behavior is bit-identical to the elementwise compare
-        cells = (
-            np.transpose(rows_grid[:, cc], (1, 0, 2))
-            .reshape(n, GLYPH_H * width)
-            .astype(np.float32)
-        )
-        cpop = cells.sum(axis=1)
-        hits = (
-            2.0 * (cells @ tflat.T)
-            - cpop[:, None]
-            + (np.float32(GLYPH_H * width) - tpop)[None, :]
-        ).astype(np.int64)  # (n, n_templates), exact integers
-        k = np.argmax(hits, axis=1)  # first max = CHARSET-order tie-break
-        sim_num = hits[np.arange(n), k]
+    for gi, width in enumerate(_WIDTHS):
+        lo, hi = _GROUP_BASE[gi], _GROUP_BASE[gi + 1]
+        k = lo + np.argmax(score[:, lo:hi], axis=1)
+        sim_num = (score[rows, k] + (GLYPH_H * width - dot[:, _N_TPL + gi])).astype(np.int64)
         sim_den = GLYPH_H * width
         better = (best_cells < 0) | (sim_num * best_cells > best_hits * sim_den)
         best_hits = np.where(better, sim_num, best_hits)
         best_cells = np.where(better, sim_den, best_cells)
         best_k = np.where(better, k, best_k)
-        best_group = np.where(better, gi, best_group)
-    confs = best_hits / best_cells
     # assemble every band's text at once: each run's char code, a space
     # before a run whose gap to the previous run of its band exceeds the
     # band's space gap, a separator after each band; one decode, one split
-    gaps = np.asarray([gap for (_bi, _g, _col_on, gap) in pend], dtype=np.int64)
     space = np.zeros(n, dtype=bool)
     space[1:] = (band_of[1:] == band_of[:-1]) & ((x0[1:] - x1[:-1]) > gaps[band_of[1:]])
     pos = np.arange(n) + np.cumsum(space) + band_of
-    text = np.full(n + int(space.sum()) + len(pend), ord(_BAND_SEP), dtype="<u4")
-    text[pos] = _CHAR_CODES[_GROUP_BASE[best_group] + best_k]
+    text = np.full(n + int(space.sum()) + nb, ord(_BAND_SEP), dtype="<u4")
+    text[pos] = _CHAR_CODES[best_k]
     text[pos[space] - 1] = ord(" ")
-    texts = text.tobytes().decode("utf-32-le").split(_BAND_SEP)
-    # every pending band has at least one run, so run_lo is strictly rising
-    conf_min = np.minimum.reduceat(confs, run_lo).tolist()
-    for (bi, _g, _col_on, _gap), t, c in zip(pend, texts, conf_min):
-        results[bi] = (t, c)
+    texts = text.tobytes().decode("utf-32-le").split(_BAND_SEP)[:nb]
+    # conf = min over a band's runs; the bands that have runs start their
+    # runs at strictly rising positions
+    confs = np.ones(nb)
+    has = np.bincount(band_of, minlength=nb) > 0
+    if n:
+        run_lo = np.searchsorted(band_of, np.flatnonzero(has), side="left")
+        confs[has] = np.minimum.reduceat(best_hits / best_cells, run_lo)
+    return texts, confs

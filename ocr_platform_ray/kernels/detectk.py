@@ -64,11 +64,19 @@ class Canvas:
     Slot k is rows [k(h+1), k(h+1)+h) and columns [0, w); the blank row
     after each slot keeps ink bands from crossing images, and the width
     is padded to a multiple of 8 so every row views as uint64 words.
-    Render straight into ``slot(k)`` to hold each raster once."""
+    Render straight into ``slot(k)`` to hold each raster once. ``pixels``,
+    when given, is a zeroed ``pixel_shape(n, h, w)`` array to use (e.g. a
+    region of a batch's ``recognizek.Sheet``)."""
 
-    def __init__(self, n: int, h: int, w: int):
+    def __init__(self, n: int, h: int, w: int, pixels: np.ndarray | None = None):
         self.n, self.h, self.w = n, h, w
-        self.pixels = np.zeros((n * (h + 1), -(-w // 8) * 8), dtype=np.uint8)
+        if pixels is None:
+            pixels = np.zeros(self.pixel_shape(n, h, w), dtype=np.uint8)
+        self.pixels = pixels
+
+    @staticmethod
+    def pixel_shape(n: int, h: int, w: int) -> tuple[int, int]:
+        return n * (h + 1), -(-w // 8) * 8
 
     def slot(self, k: int) -> np.ndarray:
         r = k * (self.h + 1)

@@ -15,12 +15,13 @@ SURVEY §7.5.1).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .. import media
 from . import detectk, order, recognizek
-from .preprocess import DEFAULT_MAX_SIDE, preprocess, resize_nearest
+from .preprocess import DEFAULT_MAX_SIDE, preprocess, resize_dims, resize_nearest
 from .textnorm import normalize_text
 
 Box = tuple[int, int, int, int]
@@ -64,6 +65,23 @@ class BlockResult:
     block_id: str
 
 
+@dataclass
+class Extracted:
+    """A stage batch's result as flat arrays. Span k owns boxes
+    ``boxes[box_off[k]:box_off[k + 1]]`` (original page coordinates;
+    reading order when detected, array order when given) and, when
+    recognized, their ``texts`` and ``confs``. ``errors[k]`` is the
+    exception that dead-lettered span k (then it owns no boxes), else
+    None; ``dims[k]`` is its raster's (width, height)."""
+
+    errors: list
+    dims: list
+    box_off: np.ndarray
+    boxes: np.ndarray
+    texts: list[str]
+    confs: np.ndarray
+
+
 def detect_image(
     ref: str, cfg: ExtractConfig, img: "object | None" = None
 ) -> tuple[list[Box], int, int]:
@@ -78,62 +96,161 @@ def detect_image(
     return [boxes[i] for i in idx], w, h
 
 
-def detect_batch(
+# numpy refuses arrays of more bytes than this (ValueError), as render does
+_MAX_PIXELS = np.iinfo(np.intp).max
+# box coordinates are int32 in every schema that carries them
+_BOX_LIMIT = 1 << 31
+
+
+def extract_batch(
     refs: list[str],
     cfg: ExtractConfig,
-    override_boxes: "list[list[Box] | None] | None" = None,
-) -> Iterator[tuple[int, "object | None", list[Box]]]:
-    """Render and detect a whole stage batch: one ``detectk.Canvas`` per
-    shape group (detect's post-shrink shape), each raster rendered once,
-    straight into its canvas slot when no shrink applies.
+    boxes: "list[list[Box] | None] | None" = None,
+    page_dims: "list[tuple[int, int]] | None" = None,
+    recognize: bool = True,
+) -> Extracted:
+    """Render, detect and recognize a whole stage batch.
 
-    Yields ``(k, raster, boxes)`` per ``refs[k]``: detected boxes in
-    reading order, or ``override_boxes[k]`` as given (array order, no
-    sort, no detect). A span whose media cannot be rendered or detected —
-    exactly where ``prepare_image_span`` raises — yields ``(k, None, [])``
-    (a dead letter). Override spans come first, then one shape group at a
-    time, so the batch's canvases are not all alive at once."""
-    groups: dict[tuple[int, int], list[tuple[int, int, int, float]]] = {}
+    ``boxes[k]``, when given, are span k's boxes (override or checkpoint
+    boxes: array order, no detect); otherwise span k is detected. When
+    ``recognize`` is off the batch stops after detect. ``page_dims[k]``
+    = (w, h) overrides the raster dims that scale boxes to the
+    preprocessed raster (0 means the raster's own, as in the reference).
+
+    Every raster lives in one ``recognizek.Sheet``: per raster shape one
+    ``detectk.Canvas`` that each raster renders straight into, plus a
+    canvas of detect's work shape and one of the preprocessed shape where
+    a max-side shrink applies. Detect runs once per shape group; boxes
+    of the whole batch are cropped and strip-split in array passes
+    (``recognizek.crop_strips``) and every strip decodes from the sheet
+    in one ``recognizek.decode_rects`` call — no raster, crop or strip is
+    copied per box. A span whose media cannot be rendered or detected,
+    or whose given boxes are invalid, is a dead letter."""
+    n = len(refs)
+    given = boxes if boxes is not None else [None] * n
+    errors: list = [None] * n
+    dims: list = [None] * n
+    span_boxes: list = [None] * n
+    groups: dict[tuple[int, int], list[int]] = {}
     for k, ref in enumerate(refs):
-        ov = override_boxes[k] if override_boxes is not None else None
         try:
-            if ov is None:
-                h, w = media.raster_shape(ref)
-                gh, gw, scale = detectk.work_shape(h, w, cfg.detect_max_side)
-                groups.setdefault((gh, gw), []).append((k, h, w, scale))
-                continue
-            item = (k, media.render(ref), _int_boxes(ov))
-        except DEAD_LETTER_ERRORS:
-            item = (k, None, [])
-        yield item
-    for (gh, gw), members in groups.items():
-        try:
-            canvas = detectk.Canvas(len(members), gh, gw)
-        except DEAD_LETTER_ERRORS:  # dims too big for numpy, like render's
-            for k, _h, _w, _scale in members:
-                yield k, None, []
+            if given[k] is not None:
+                span_boxes[k] = _int_boxes(given[k])
+            h, w = media.raster_shape(ref)
+            if given[k] is None:
+                detectk.work_shape(h, w, cfg.detect_max_side)
+        except DEAD_LETTER_ERRORS as e:
+            errors[k] = e
             continue
-        rasters = []
-        for slot, (k, h, w, _scale) in enumerate(members):
+        groups.setdefault((h, w), []).append(k)
+
+    # plan one raster canvas per shape, plus shrink canvases
+    plans = []
+    shapes: list[tuple[int, int]] = []
+    for (h, w), members in groups.items():
+        det = [i for i, k in enumerate(members) if given[k] is None]
+        gh, gw, scale = detectk.work_shape(h, w, cfg.detect_max_side) if det else (h, w, 1.0)
+        pw, ph = resize_dims(w, h, cfg.max_side) if recognize else (w, h)
+        need = [(len(members), h, w)]
+        det_c = prep_c = 0  # index in ``need``; 0 = the raster canvas itself
+        if (gh, gw) != (h, w):
+            det_c = len(need)
+            need.append((len(det), gh, gw))
+        if (ph, pw) != (h, w):
+            prep_c = len(need)
+            need.append((len(members), ph, pw))
+        cells = [detectk.Canvas.pixel_shape(*c) for c in need]
+        if any(r * c > _MAX_PIXELS for r, c in cells):
+            for k in members:
+                errors[k] = ValueError(f"raster too big for numpy: {refs[k]!r}")
+            continue
+        plans.append((members, det, need, det_c, prep_c, len(shapes), scale))
+        shapes.extend(cells)
+    sheet = recognizek.Sheet(shapes)
+
+    # render, detect; note where each span's preprocessed raster lives
+    prep_at: dict[int, tuple[int, int, int, int]] = {}  # k -> region, row, h, w
+    for members, det, need, det_c, prep_c, r0, scale in plans:
+        canvases = [
+            detectk.Canvas(*c, pixels=sheet.regions[r0 + i]) for i, c in enumerate(need)
+        ]
+        raster = canvases[0]
+        for i, k in enumerate(members):
             try:
-                if (h, w) == (gh, gw):
-                    img = media.render(refs[k], out=canvas.slot(slot))
-                else:
-                    img = media.render(refs[k])
-                    canvas.slot(slot)[...] = resize_nearest(img, gw, gh)
-            except DEAD_LETTER_ERRORS:
-                img = None  # any ink it left in its slot stays in its slot
-            rasters.append(img)
-        found = canvas.boxes([m[3] for m in members])
-        for (k, _h, _w, _scale), img, boxes in zip(members, rasters, found):
-            if img is None:
-                yield k, None, []
-            else:
-                yield k, img, [boxes[i] for i in order.reading_order(boxes)]
+                media.render(refs[k], out=raster.slot(i))
+                dims[k] = (raster.w, raster.h)
+            except DEAD_LETTER_ERRORS as e:
+                errors[k] = e  # any ink it left in its slot stays in its slot
+        if det:
+            canvas, slots = raster, det
+            if det_c:
+                canvas, slots = canvases[det_c], range(len(det))
+                for j, i in enumerate(det):
+                    canvas.slot(j)[...] = resize_nearest(raster.slot(i), canvas.w, canvas.h)
+            found = canvas.boxes([scale] * canvas.n)
+            for i, slot in zip(det, slots):
+                k = members[i]
+                if errors[k] is None:
+                    got = found[slot]
+                    span_boxes[k] = [got[j] for j in order.reading_order(got)]
+        prep = canvases[prep_c]
+        for i, k in enumerate(members):
+            if recognize and errors[k] is None and span_boxes[k]:
+                if prep_c:
+                    prep.slot(i)[...] = resize_nearest(raster.slot(i), prep.w, prep.h)
+                prep_at[k] = (r0 + prep_c, i * (prep.h + 1), prep.h, prep.w)
+
+    counts = np.asarray(
+        [len(b) if e is None else 0 for b, e in zip(span_boxes, errors)], dtype=np.int64
+    )
+    box_off = np.concatenate(([0], np.cumsum(counts)))
+    flat = [b for bs, e in zip(span_boxes, errors) if e is None for b in bs]
+    all_boxes = np.asarray(flat, dtype=np.int64).reshape(-1, 4)
+    texts: list[str] = []
+    confs = np.ones(0)
+    if recognize and len(flat):
+        # per box: preprocessed raster (region, first row, h, w) and the
+        # page -> preprocessed factors, exactly the reference's floats
+        spans = [k for k in range(n) if counts[k]]
+        at = np.asarray([prep_at[k] for k in spans], dtype=np.int64)
+        sx, sy = [], []
+        for k in spans:
+            w, h = dims[k]
+            pw0, ph0 = page_dims[k] if page_dims is not None else (0, 0)
+            w_orig, h_orig = pw0 or w, ph0 or h
+            sx.append(prep_at[k][3] / w_orig if w_orig else 1.0)
+            sy.append(prep_at[k][2] / h_orig if h_orig else 1.0)
+        rep = counts[spans]
+        at = np.repeat(at, rep, axis=0)
+        b, y0, y1, x0, x1 = recognizek.crop_strips(
+            all_boxes, np.repeat(sx, rep), np.repeat(sy, rep)
+        )
+        reg, row, ph, pw = at[b].T
+        strip_texts, strip_confs = recognizek.decode_rects(
+            sheet,
+            reg,
+            row + np.minimum(y0, ph),
+            row + np.minimum(y1, ph),
+            np.minimum(x0, pw),
+            np.minimum(x1, pw),
+        )
+        # per box: one strip is its text; several join with "\n", conf =
+        # min (vietocr_engine.py:103-127); then whitespace strip
+        first = np.searchsorted(b, np.arange(len(flat)))
+        texts = [strip_texts[i] for i in first.tolist()]
+        n_strips = np.diff(np.append(first, len(b)))
+        for j in np.flatnonzero(n_strips > 1).tolist():
+            texts[j] = "\n".join(strip_texts[first[j] : first[j] + n_strips[j]])
+        texts = recognizek.postprocess_texts(texts)
+        confs = np.minimum.reduceat(strip_confs, first)
+    return Extracted(errors, dims, box_off, all_boxes, texts, confs)
 
 
 def _int_boxes(boxes: list) -> list[Box]:
-    return [(int(x1), int(y1), int(x2), int(y2)) for (x1, y1, x2, y2) in boxes]
+    out = [(int(x1), int(y1), int(x2), int(y2)) for (x1, y1, x2, y2) in boxes]
+    if any(not -_BOX_LIMIT <= v < _BOX_LIMIT for b in out for v in b):
+        raise OverflowError("box coordinate outside int32")
+    return out
 
 
 def prepare_recognize(
@@ -144,97 +261,28 @@ def prepare_recognize(
     cfg: ExtractConfig,
     img: "object | None" = None,
 ) -> tuple[list, list[int]]:
-    """Phase 1 of recognize: decode the raster, preprocess, crop each box,
-    split tall crops — everything except the glyph decode. Returns
-    ``(strips, strip_counts)`` with one count per box. Exact
-    ``run_ocr_with_boxes`` arithmetic; phase 2 = ``decode_strips`` +
-    ``finish_recognize``. Split out so actor stages can decode the strips
-    of a WHOLE Arrow batch in one vectorized pass (per-strip decoding is
-    independent, so batching is semantics-preserving)."""
+    """Crop and strip-split one image's boxes: ``(strips, strip_counts)``,
+    strips as ``(preprocessed raster, y0, y1, x0, x1)`` rectangles for
+    ``recognizek.decode_strips``, one count per box. The per-image form
+    of ``extract_batch``'s prepare step (the same ``crop_strips``), kept
+    for callers that time the kernels one image at a time."""
     if not boxes_orig:
         return [], []
     if img is None:
-        # two-phase path recomputes pages from source, like the reference
-        # (ocr_tasks.py:220-226); the fused path passes the raster through
         img = media.render(ref)
     img_prep = preprocess(img, cfg.max_side)
     h_prep, w_prep = img_prep.shape[:2]
     w_orig = page_w or img.shape[1]
     h_orig = page_h or img.shape[0]
-    scale_x = w_prep / w_orig if w_orig else 1.0
-    scale_y = h_prep / h_orig if h_orig else 1.0
-    # Collect every strip of every box — semantics identical to per-crop
-    # recognize_crop (single strip -> predict on the FULL crop, reference
-    # vietocr_engine.py:103-127; multi-strip -> "\n" join, conf = min).
-    all_strips: list = []
-    strip_counts: list[int] = []
-    for (x1, y1, x2, y2) in boxes_orig:
-        box_crop = (int(x1 * scale_x), int(y1 * scale_y), int(x2 * scale_x), int(y2 * scale_y))
-        crop_img = recognizek.crop(img_prep, box_crop)
-        bounds = recognizek.strip_bounds(
-            crop_img.shape[0], original_height_px=y2 - y1
-        )
-        if not bounds or len(bounds) == 1:
-            all_strips.append(crop_img)  # single strip: the FULL crop
-            strip_counts.append(1)
-        else:
-            for (sy1, sy2) in bounds:
-                all_strips.append(crop_img[sy1:sy2])
-            strip_counts.append(len(bounds))
-    return all_strips, strip_counts
-
-
-def finish_recognize(
-    boxes_orig: list[Box],
-    strip_counts: list[int],
-    decoded: list[tuple[str, float]],
-    span_idx: int = 0,
-) -> list[BlockResult]:
-    """Phase 2 of recognize: reassemble decoded strips per box (multi-strip
-    "\\n" join, conf = min — vietocr_engine.py:103-127), postprocess, and
-    zip-align against the boxes (orchestrator.py:75-80)."""
-    raw: list[str] = []
-    confs: list[float] = []
-    k = 0
-    for c in strip_counts:
-        seg = decoded[k : k + c]
-        k += c
-        if c == 1:
-            t, p = seg[0]
-        else:
-            t = "\n".join(x[0] for x in seg)
-            p = min(x[1] for x in seg)
-        raw.append(t)
-        confs.append(p)
-    texts = recognizek.postprocess_texts(raw)
-    n = min(len(boxes_orig), len(texts))  # reference zip-align guard (orchestrator.py:75-80)
-    return [
-        BlockResult(
-            text=texts[i],
-            conf=confs[i],
-            box=boxes_orig[i],
-            block_id=f"{span_idx}-{i}",
-        )
-        for i in range(n)
-    ]
-
-
-def recognize_image(
-    ref: str,
-    boxes_orig: list[Box],
-    page_w: int,
-    page_h: int,
-    cfg: ExtractConfig,
-    span_idx: int = 0,
-    img: "object | None" = None,
-) -> list[BlockResult]:
-    """Recognize stage for one image span given original-coordinate boxes
-    (detected or override). Exact ``run_ocr_with_boxes`` arithmetic."""
-    if not boxes_orig:
-        return []
-    strips, counts = prepare_recognize(ref, boxes_orig, page_w, page_h, cfg, img=img)
-    decoded = recognizek.decode_strips(strips)
-    return finish_recognize(boxes_orig, counts, decoded, span_idx=span_idx)
+    boxes = np.asarray(_int_boxes(boxes_orig), dtype=np.int64)
+    ones = np.ones(len(boxes))
+    b, y0, y1, x0, x1 = recognizek.crop_strips(
+        boxes,
+        ones * (w_prep / w_orig if w_orig else 1.0),
+        ones * (h_prep / h_orig if h_orig else 1.0),
+    )
+    strips = [(img_prep, *r) for r in zip(y0.tolist(), y1.tolist(), x0.tolist(), x1.tolist())]
+    return strips, np.bincount(b, minlength=len(boxes)).tolist()
 
 
 def extract_image_span(
@@ -244,34 +292,20 @@ def extract_image_span(
     override_boxes: list[Box] | None = None,
 ) -> list[BlockResult]:
     """Fused detect+recognize for one image span (reference ``run_ocr`` /
-    two-phase composition — identical by construction, see module doc).
+    two-phase composition — identical by construction, see module doc):
+    a batch of one through ``extract_batch``. Raises the dead letter's
+    exception on a poison span.
 
     ``override_boxes`` is the human-edit analogue (PATCH /jobs/{id}/detect,
     routes_jobs.py:230-249): array order preserved, no reading-order sort.
     """
-    boxes, counts, strips = prepare_image_span(ref, cfg, override_boxes)
-    decoded = recognizek.decode_strips(strips)
-    return finish_recognize(boxes, counts, decoded, span_idx=span_idx)
-
-
-def prepare_image_span(
-    ref: str,
-    cfg: ExtractConfig,
-    override_boxes: list[Box] | None = None,
-) -> tuple[list[Box], list[int], list]:
-    """Phase 1 of the fused extract for one image span: render once, detect
-    (or apply override boxes — array order preserved, no reading-order
-    sort), prepare strips. Returns ``(boxes, strip_counts, strips)``; phase
-    2 = ``decode_strips`` + ``finish_recognize``. Raises on poison refs —
-    callers wrap like ``safe_extract_image_span`` does."""
-    img = media.render(ref)  # decode once; both stages share the raster
-    if override_boxes is not None:
-        h, w = img.shape[:2]
-        boxes = _int_boxes(override_boxes)
-    else:
-        boxes, w, h = detect_image(ref, cfg, img=img)
-    strips, counts = prepare_recognize(ref, boxes, w, h, cfg, img=img)
-    return boxes, counts, strips
+    res = extract_batch([ref], cfg, None if override_boxes is None else [override_boxes])
+    if res.errors[0] is not None:
+        raise res.errors[0]
+    return [
+        BlockResult(text=t, conf=c, box=tuple(box), block_id=f"{span_idx}-{i}")
+        for i, (t, c, box) in enumerate(zip(res.texts, res.confs.tolist(), res.boxes.tolist()))
+    ]
 
 
 def safe_extract_image_span(

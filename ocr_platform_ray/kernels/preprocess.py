@@ -31,7 +31,9 @@ def resize_nearest(img: np.ndarray, new_w: int, new_h: int) -> np.ndarray:
         return img
     rows = (np.arange(new_h) * h) // new_h
     cols = (np.arange(new_w) * w) // new_w
-    return img[np.ix_(rows, cols)]
+    # two 1-D takes gather the same pixels as img[np.ix_(rows, cols)],
+    # several times faster
+    return img.take(rows, axis=0).take(cols, axis=1)
 
 
 def preprocess(img: np.ndarray, max_side: int = DEFAULT_MAX_SIDE) -> np.ndarray:

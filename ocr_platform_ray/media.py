@@ -60,6 +60,17 @@ def _word_width(word: str, s: int) -> int:
     return got
 
 
+_VOCAB_WIDTHS: dict[int, list[int]] = {}
+
+
+def _vocab_widths(s: int) -> list[int]:
+    """``_word_width`` of every VOCAB word at scale s, in VOCAB order."""
+    got = _VOCAB_WIDTHS.get(s)
+    if got is None:
+        got = _VOCAB_WIDTHS[s] = [_word_width(wd, s) for wd in VOCAB]
+    return got
+
+
 def _layout(ref: str):
     """Deterministic layout plan for a ref.
 
@@ -81,6 +92,9 @@ def _layout(ref: str):
         return w, h, max(1, s), paragraph, lines
     pitch = font.GLYPH_H * s if paragraph else font.GLYPH_H * s + max(2, s)
     budget = w - 2 * MARGIN_X
+    widths = _vocab_widths(s)
+    gap = font.WORD_GAP * s
+    n_vocab = len(VOCAB)
     for i in range(n_lines):
         y = MARGIN_Y + i * pitch
         words: list[str] = []
@@ -89,12 +103,12 @@ def _layout(ref: str):
         # this equals font.text_width(" ".join(words), s) at every step
         width = 0
         while True:
-            cand_word = rng.choice(VOCAB)
-            ww = _word_width(cand_word, s)
-            cand_w = ww if not words else width + font.WORD_GAP * s + ww
+            k = rng.next64() % n_vocab  # rng.choice(VOCAB), by index
+            ww = widths[k]
+            cand_w = ww if not words else width + gap + ww
             if cand_w > budget:
                 break
-            words.append(cand_word)
+            words.append(VOCAB[k])
             width = cand_w
             if len(words) >= 12:
                 break
@@ -141,17 +155,25 @@ def render(ref: str, out: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"out shape {out.shape} != {(h, w)} for {ref!r}")
     else:
         img = out
-    for y, segments in lines:
-        for x, text in segments:
-            block = font.render_line(text, s)
-            bh, bw = block.shape
-            bh = min(bh, h - y)
-            bw = min(bw, w - x)
-            if bh > 0 and bw > 0:
-                img[y : y + bh, x : x + bw] = np.maximum(
-                    img[y : y + bh, x : x + bw], block[:bh, :bw]
-                )
+    paste_lines(img, lines, s)
     return img
+
+
+def paste_lines(img: np.ndarray, lines, s: int) -> None:
+    """Paste laid-out lines ((y, [(x, text), ...]) each) into a zeroed
+    raster: one ``font.line_raster`` per line, pasted once and clipped at
+    the raster's edges. Lines do not overlap (``_layout`` steps them by a
+    full glyph height or more), so a plain assignment equals an ink max."""
+    h, w = img.shape
+    for y, segments in lines:
+        got = font.line_raster(segments, s)
+        if got is None:
+            continue
+        x, block = got
+        bh = min(block.shape[0], h - y)
+        bw = min(block.shape[1], w - x)
+        if bh > 0 and bw > 0:
+            img[y : y + bh, x : x + bw] = block[:bh, :bw]
 
 
 def ground_truth_lines(ref: str) -> list[list[str]]:

@@ -88,15 +88,16 @@ class PipelineOptions:
 
 def read_corpus(path: str, **kwargs) -> rd.Dataset:
     """Lance-shaped io seam: reads Lance when available, else Parquet
-    (SURVEY §7.0 — no pylance in this sandbox; single documented swap point)."""
+    (SURVEY §7.0 — pylance is optional; single documented swap point).
+    ``kwargs`` go to the reader. The Parquet path's metadata strip takes
+    the stage's remote args, so it fuses into the stage's operator."""
     try:
         import lance  # noqa: F401
-
-        return rd.read_lance(path, **kwargs)
     except ImportError:
         from .sources import read_parquet_clean
 
-        return read_parquet_clean(path, **kwargs)
+        return read_parquet_clean(path, map_kwargs=PipelineOptions().task_kwargs(), **kwargs)
+    return rd.read_lance(path, **kwargs)
 
 
 def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
@@ -129,9 +130,10 @@ def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
 
     # A single small parquet file reads as ~16 blocks whatever the CPU
     # count; stage-task parallelism equals block count, so split the read
-    # itself into 2 blocks per CPU. to_spans carries the stage's remote
-    # args, so it fuses into the stage's operator with no barrier between
-    # (real corpora arrive in many files and read as many blocks anyway).
+    # itself into 2 blocks per CPU. The metadata strip and to_spans carry
+    # the stage's remote args, so both fuse into the stage's operator with
+    # no barrier between (real corpora arrive in many files and read as
+    # many blocks anyway).
     try:
         ncpu = int(ray.cluster_resources().get("CPU", 8))
     except Exception:

@@ -23,19 +23,25 @@ def _strip_schema_metadata(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def read_parquet_clean(*args, **kwargs) -> rd.Dataset:
-    """``read_parquet`` + a zero-copy schema-metadata strip fused onto
-    the read. Pandas-written parquet (the driver's test tables) carries
-    a ``{b'pandas': ...}`` schema-metadata dict; ``hash(pa.Schema)``
-    raises TypeError on dict metadata, so every downstream block-bundling
-    ``unify_schemas`` logs "Failed to hash the schemas" in the WORKER
-    (where no driver-side log filter can reach) and misses Ray's set()
-    dedup early exit. Metadata carries no data — stripping it at the
-    seam keeps worker logs clean and the early exit hot. The strip maps
-    block-per-batch (batch_size=None) and fuses with whatever follows,
-    so plan topology and scan pruning (columns=/filter=) are unchanged."""
+def read_parquet_clean(*args, map_kwargs: dict | None = None, **kwargs) -> rd.Dataset:
+    """``read_parquet`` + a zero-copy schema-metadata strip. Pandas-written
+    parquet (the test tables) carries a ``{b'pandas': ...}`` schema-
+    metadata dict; ``hash(pa.Schema)`` raises TypeError on dict metadata,
+    so every downstream block-bundling ``unify_schemas`` logs "Failed to
+    hash the schemas" in the WORKER (where no log filter of the calling
+    process can reach) and misses Ray's set() dedup early exit. Metadata
+    carries no data — stripping it at the seam keeps worker logs clean
+    and the early exit hot. Plan topology and scan pruning (columns=/
+    filter=) are unchanged.
+
+    The strip's ``map_batches`` takes ``map_kwargs`` as its remote args
+    (default: Ray's). Ray Data fuses two maps only when their remote
+    args match, so a caller whose next map sets its own args (the
+    flagship's ``PipelineOptions().task_kwargs()``) passes them here to
+    keep the strip inside that map's operator."""
+    kw = {"batch_format": "pyarrow", **(map_kwargs or {})}
     return rd.read_parquet(*args, **kwargs).map_batches(
-        _strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True
+        _strip_schema_metadata, zero_copy_batch=True, **kw
     )
 
 

@@ -11,10 +11,11 @@ processes an Arrow batch of document rows. Deploy as a task map with
 deployment these stages take ``num_gpus`` (the sandbox is CPU-only — the
 knob is plumbed through PipelineOptions).
 
-Per batch, the heavy work runs batch-wide: detect on one canvas per
-image-shape group (``kernels.extract.detect_batch``), decode over every
-strip of the batch at once (``recognizek.decode_strips``); row iteration
-is only orchestration. Overrides are the human-edit
+Per batch, the heavy work runs batch-wide in ``kernels.extract.
+extract_batch``, the one path of all three stages: render into one
+canvas per raster shape, detect once per canvas, crop and strip-split
+every box in array passes, decode every strip at once; row iteration is
+only orchestration. Overrides are the human-edit
 analogue (PATCH /jobs/{id}/detect): a small table broadcast once via
 ``ray.put`` — never re-shipped per batch or pickled into the task.
 """
@@ -27,13 +28,10 @@ import numpy as np
 import pyarrow as pa
 
 from .. import font  # noqa: F401  (imported so templates build once per worker)
-from ..kernels import recognizek
 from ..kernels.extract import (
-    DEAD_LETTER_ERRORS,
     ExtractConfig,
-    detect_batch,
-    finish_recognize,
-    prepare_recognize,
+    Extracted,
+    extract_batch,
     safe_extract_image_span,  # noqa: F401  (re-exported; oracle/test surface)
 )
 from ..schema import BOX_STRUCT, EXTRACTED_SCHEMA, SPAN_STRUCT
@@ -51,9 +49,6 @@ DETECT_ENTRY = pa.struct(
 # Input columns the extract stages consume; anything else (e.g. tenant_id,
 # provenance tags) is forwarded to the output untouched, in input row order.
 _CONSUMED_COLS = {"spans", "n_spans", "n_image_spans", "detect", "n_detect_errors"}
-
-_MISSING = object()  # sentinel: span had no prepared entry at all
-
 
 def _with_passthrough(out: pa.Table, batch: pa.Table) -> pa.Table:
     """Forward non-consumed input columns (tenant scoping / metadata) onto
@@ -125,15 +120,16 @@ def _assemble_batch(
     refs: list,
     offs: np.ndarray,
     cfg: ExtractConfig,
-    block_fn,
+    res: Extracted,
+    res_at: np.ndarray,
     base_errors,
 ) -> pa.Table:
     """Batch-wide row-local merge, building ``spans_out`` directly as
     flat child arrays + ``ListArray.from_arrays`` (no per-span dicts).
-    Semantics identical to the per-row ``_assemble_row`` walk: spans in
-    (offset, index) order (stable argsort of the row's offset slice),
-    text spans pass through minus empties, image spans expand to their
-    recognized blocks via ``block_fn(row, i_within, flat_j)``, output
+    Per row: spans in (offset, index) order (stable argsort of the row's
+    offset slice), text spans pass through minus empties, image span j
+    expands to the recognized blocks of ``res`` span ``res_at[j]`` (a
+    dead letter there counts one error; -1 = no result, no error), output
     offsets re-numbered 0..n-1 per row."""
     out_kind: list[str] = []
     out_text: list[str] = []
@@ -143,9 +139,12 @@ def _assemble_batch(
     minc_col: list[float] = []
     meanc_col: list[float] = []
     err_col: list[int] = []
+    box_off = res.box_off.tolist()
+    confs = res.confs.tolist()
+    at = res_at.tolist()
     for r in range(len(doc_ids)):
         a, b = int(off[r]), int(off[r + 1])
-        order = (np.argsort(offs[a:b], kind="stable") + a) if b > a else ()
+        order = (np.argsort(offs[a:b], kind="stable") + a).tolist() if b > a else ()
         start_len = len(out_kind)
         n_blocks = 0
         n_err = int(base_errors[r])
@@ -160,15 +159,22 @@ def _assemble_batch(
                     out_text.append(t)
                     out_ref.append("")
             elif k == "image":
-                blocks, err = block_fn(r, int(j) - a, int(j))
-                n_err += err
-                for blk in blocks:
-                    out_kind.append("image")
-                    out_text.append(blk.text)
-                    out_ref.append(refs[j])
-                    n_blocks += 1
-                    min_conf = min(min_conf, blk.conf)
-                    conf_sum += blk.conf
+                q = at[j]
+                if q < 0:
+                    continue
+                if res.errors[q] is not None:
+                    n_err += 1
+                    continue
+                lo, hi = box_off[q], box_off[q + 1]
+                if hi == lo:
+                    continue
+                out_kind.extend(["image"] * (hi - lo))
+                out_text.extend(res.texts[lo:hi])
+                out_ref.extend([refs[j]] * (hi - lo))
+                n_blocks += hi - lo
+                for c in confs[lo:hi]:
+                    min_conf = min(min_conf, c)
+                    conf_sum += c
         lens.append(len(out_kind) - start_len)
         nb_col.append(n_blocks)
         minc_col.append(min_conf)
@@ -231,20 +237,19 @@ class DetectStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         off, kinds, _texts, refs, _offs = _spans_flat(batch)
         img_j, img_rows = _image_span_indices(off, kinds)
-        detected: list[tuple | None] = [None] * len(img_j)
-        for k, img, boxes in detect_batch([refs[j] for j in img_j.tolist()], self.cfg):
-            if img is not None:
-                detected[k] = (img.shape[1], img.shape[0], boxes)
+        res = extract_batch([refs[j] for j in img_j.tolist()], self.cfg, recognize=False)
+        boxes = res.boxes.tolist()
+        box_off = res.box_off.tolist()
         detect_col: list[list] = [[] for _ in range(batch.num_rows)]
         err_col = [0] * batch.num_rows
-        for j, r, d in zip(img_j.tolist(), img_rows.tolist(), detected):
-            if d is None:
+        for k, (j, r) in enumerate(zip(img_j.tolist(), img_rows.tolist())):
+            if res.errors[k] is not None:
                 # dead-letter: malformed media_ref -> no detect entry ->
                 # recognize emits nothing for this span; counted so the
                 # shard manifest surfaces it
                 err_col[r] += 1
                 continue
-            w, h, boxes = d
+            w, h = res.dims[k]
             detect_col[r].append(
                 {
                     "span_idx": j - int(off[r]),
@@ -252,7 +257,7 @@ class DetectStage:
                     "height": h,
                     "boxes": [
                         {"x1": b[0], "y1": b[1], "x2": b[2], "y2": b[3]}
-                        for b in boxes
+                        for b in boxes[box_off[k] : box_off[k + 1]]
                     ],
                 }
             )
@@ -272,7 +277,9 @@ class RecognizeStage:
     Applies overrides (broadcast), recognizes each image span's boxes with
     the exact reference arithmetic, drops empty normalized text spans, and
     merges everything back in offset order — all row-local (no shuffle:
-    every span of a doc lives in its row)."""
+    every span of a doc lives in its row). Spans with boxes go through
+    ``extract_batch`` as given boxes: rendered into shape-group canvases,
+    cropped, split and decoded batch-wide, with the fused stage's code."""
 
     def __init__(self, cfg: ExtractConfig | None = None, overrides_ref=None):
         self.cfg = cfg or ExtractConfig()
@@ -289,66 +296,40 @@ class RecognizeStage:
             if "n_detect_errors" in batch.column_names
             else [0] * batch.num_rows
         )
-        # Phase 1 (per image span): render + preprocess + crop + strip-split.
-        # Strips from the WHOLE batch are decoded in ONE vectorized
-        # template-matching pass below — per-strip decoding is independent,
-        # so this is exactly equivalent to per-image decode.
+        # a span dead-lettered at detect has no entry (already counted);
+        # a span with no boxes renders nothing and yields no blocks
         det_by_row: dict[int, dict] = {}
-        all_strips: list = []
-        prepared: dict[int, tuple | None] = {}
+        res_at = np.full(len(kinds), -1, dtype=np.int64)
+        sel_refs, sel_boxes, sel_dims = [], [], []
         for j, r in zip(img_j.tolist(), img_rows.tolist()):
             i = j - int(off[r])
             if r not in det_by_row:
-                det_by_row[r] = {
-                    e["span_idx"]: e for e in (detect_col[r] or [])
-                }
+                det_by_row[r] = {e["span_idx"]: e for e in (detect_col[r] or [])}
             entry = det_by_row[r].get(i)
             if entry is None:
-                continue  # dead-lettered at detect (already counted)
-            ov = overrides.get((doc_ids[r], i))
-            if ov is not None:
-                boxes = ov
-            else:
-                boxes = [
-                    (b["x1"], b["y1"], b["x2"], b["y2"]) for b in entry["boxes"]
-                ]
-            try:
-                strips, counts = prepare_recognize(
-                    refs[j], boxes, entry["width"], entry["height"], self.cfg,
-                )
-            except DEAD_LETTER_ERRORS:
-                # recognize-phase poison (e.g. an invalid override box):
-                # count it like the fused path's safe_extract wrapper
-                # instead of crashing the shard
-                prepared[j] = None
                 continue
-            prepared[j] = (boxes, counts, len(all_strips))
-            all_strips.extend(strips)
-        decoded = recognizek.decode_strips(all_strips)
-
-        def block_fn(r, i, j):
-            p = prepared.get(j, _MISSING)
-            if p is _MISSING:
-                return [], 0  # dead-lettered at detect (already counted)
-            if p is None:
-                return [], 1  # recognize-phase poison
-            boxes, counts, start = p
-            return finish_recognize(
-                boxes, counts, decoded[start : start + sum(counts)], span_idx=i
-            ), 0
-
+            boxes = overrides.get((doc_ids[r], i))
+            if boxes is None:
+                boxes = [(b["x1"], b["y1"], b["x2"], b["y2"]) for b in entry["boxes"]]
+            if not boxes:
+                continue
+            res_at[j] = len(sel_refs)
+            sel_refs.append(refs[j])
+            sel_boxes.append(boxes)
+            sel_dims.append((entry["width"], entry["height"]))
+        res = extract_batch(sel_refs, self.cfg, sel_boxes, page_dims=sel_dims)
         out = _assemble_batch(
-            doc_ids, off, kinds, texts, refs, offs, self.cfg, block_fn,
+            doc_ids, off, kinds, texts, refs, offs, self.cfg, res, res_at,
             base_errors=[int(e or 0) for e in det_errs],
         )
         return _with_passthrough(out, batch)
 
 
-
 class ExtractStage:
     """Fused detect+recognize (reference ``run_ocr`` analogue): a single
-    stage, no intermediate detect materialization, each raster decoded once
-    and shared by both kernels. Produces exactly what DetectStage ->
+    stage, no intermediate detect materialization, each raster rendered
+    once into its shape group's canvas and shared by both kernels
+    (``extract_batch``). Produces exactly what DetectStage ->
     RecognizeStage produces (same kernels, deterministic)."""
 
     def __init__(self, cfg: ExtractConfig | None = None, overrides_ref=None):
@@ -360,43 +341,16 @@ class ExtractStage:
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
         img_j, img_rows = _image_span_indices(off, kinds)
-        # Phase 1, batch-wide: render each raster once into its shape
-        # group's detect canvas, detect every group in one pass (override
-        # spans skip detect), then preprocess/crop/strip-split per image;
-        # ONE batch-wide decode pass below (see RecognizeStage.__call__).
         img_j = img_j.tolist()
         ov = [
             overrides.get((doc_ids[r], j - int(off[r])))
             for j, r in zip(img_j, img_rows.tolist())
         ]
-        all_strips: list = []
-        prepared: dict[int, tuple | None] = {}
-        for k, img, boxes in detect_batch([refs[j] for j in img_j], self.cfg, ov):
-            j = img_j[k]
-            prepared[j] = None  # dead-letter unless it prepares: counted below
-            if img is None:
-                continue
-            try:
-                strips, counts = prepare_recognize(
-                    refs[j], boxes, img.shape[1], img.shape[0], self.cfg, img=img
-                )
-            except DEAD_LETTER_ERRORS:
-                continue
-            prepared[j] = (boxes, counts, len(all_strips))
-            all_strips.extend(strips)
-        decoded = recognizek.decode_strips(all_strips)
-
-        def block_fn(r, i, j):
-            p = prepared.get(j)
-            if p is None:
-                return [], 1
-            boxes, counts, start = p
-            return finish_recognize(
-                boxes, counts, decoded[start : start + sum(counts)], span_idx=i
-            ), 0
-
+        res = extract_batch([refs[j] for j in img_j], self.cfg, ov)
+        res_at = np.full(len(kinds), -1, dtype=np.int64)
+        res_at[img_j] = np.arange(len(img_j))
         out = _assemble_batch(
-            doc_ids, off, kinds, texts, refs, offs, self.cfg, block_fn,
+            doc_ids, off, kinds, texts, refs, offs, self.cfg, res, res_at,
             base_errors=[0] * len(doc_ids),
         )
         return _with_passthrough(out, batch)

@@ -100,10 +100,15 @@ class TestClamp:
         assert recognizek.clamp_box((3, 4, 9, 8)) == (3, 4, 9, 8)
 
     def test_crop_pads_beyond_image(self):
+        # a box past the raster's edge keeps its clamped size; the pixels
+        # past the edge read as zero (PIL crop padding)
+        got = recognizek.crop_strips(np.array([[5, 5, 15, 12]]), np.ones(1), np.ones(1))
+        assert [a.tolist() for a in got] == [[0], [5], [12], [5], [15]]
         img = np.full((10, 10), 255, dtype=np.uint8)
-        c = recognizek.crop(img, (5, 5, 15, 12))
-        assert c.shape == (7, 10)
-        assert c[:5, :5].min() == 255 and c[6, 9] == 0
+        # 5 ink rows + 2 padded rows: a band shorter than a glyph
+        assert recognizek.decode_strips([(img, 5, 12, 5, 15)]) == [("", 1.0)]
+        glyphs = font.render_line("AB", 1)  # (7, 11)
+        assert recognizek.decode_strips([(glyphs, 0, 12, 0, 20)]) == [("AB", 1.0)]
 
 
 class TestPreprocess:

@@ -7,7 +7,8 @@ one slot and the stage ran one task at a time. Extraction Datasets turn
 the reservation off on their own ``DataContext`` copy; these tests pin
 that two stage tasks overlap under a consumer map, that the global
 context is left alone, and that ``corpus_from_documents`` splits at the
-read (no Repartition) so ``to_spans`` fuses into the stage's operator.
+read (no Repartition) so the read's metadata strip and ``to_spans``
+fuse into the stage's operator.
 
 Everything runs in one child process with its own
 ``ray.init(num_cpus=2)``, under a timeout that kills the child's whole
@@ -115,8 +116,10 @@ try:
     stats = flagship.stats()
     print("repartition", "Repartition" in stats)
     for line in stats.splitlines():
-        if line.startswith("Operator") and "MapBatches(ExtractStage)" in line:
-            print("stage_op", line)
+        if line.startswith("Operator"):
+            print("op", line)
+            if "MapBatches(ExtractStage)" in line:
+                print("stage_op", line)
 finally:
     ray.shutdown()
 """
@@ -164,6 +167,19 @@ def test_flagship_split_at_read_fuses_to_spans(child_out):
     # one operator from to_spans to the stage, one task per read block
     # (2 x CPU blocks)
     assert re.match(
-        r"stage_op Operator \d+ MapBatches\(to_spans\)->.*"
+        r"stage_op Operator \d+ (MapBatches\(_strip_schema_metadata\)->)?"
+        r"MapBatches\(to_spans\)->.*"
         r"->MapBatches\(ExtractStage\): 4 tasks executed", ops[0]
     ), ops[0]
+
+
+def test_no_operator_between_read_and_stage(child_out):
+    """The read's metadata strip and to_spans carry the stage's remote
+    args, so the operator right after the read is the stage's."""
+    out, err = child_out
+    ops = [ln[len("op "):] for ln in out.splitlines() if ln.startswith("op ")]
+    assert ops, out or err
+    read = [i for i, ln in enumerate(ops) if re.match(r"Operator \d+ ReadParquet", ln)]
+    stage = [i for i, ln in enumerate(ops) if "MapBatches(ExtractStage)" in ln]
+    assert len(read) == 1 and len(stage) == 1, ops
+    assert stage[0] == read[0] + 1, ops

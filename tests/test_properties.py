@@ -21,7 +21,60 @@ boxes_st = st.lists(
 )
 
 
+def _scalar_strip_bounds(crop_h, original_height_px):
+    """Reference per-crop strip walk (vietocr_engine.py:63-100), kept
+    here to pin ``recognizek``'s array arithmetic."""
+    h = crop_h
+    if original_height_px is not None and original_height_px > recognizek.MAX_SINGLE_LINE_HEIGHT:
+        oh = original_height_px
+        num_strips = max(1, round(oh / recognizek.LINE_STRIP_HEIGHT))
+        step_orig = max(1, recognizek.LINE_STRIP_HEIGHT - recognizek.LINE_STRIP_OVERLAP)
+        strips = []
+        for i in range(num_strips):
+            y_orig = i * step_orig
+            y2_orig = oh if i == num_strips - 1 else min(y_orig + recognizek.LINE_STRIP_HEIGHT, oh)
+            y1_crop = int(y_orig * h / oh)
+            y2_crop = int(y2_orig * h / oh)
+            if y2_crop > y1_crop and (y2_crop - y1_crop) >= recognizek.MIN_STRIP_PX:
+                strips.append((y1_crop, y2_crop))
+        return strips
+    if h <= recognizek.MAX_SINGLE_LINE_HEIGHT:
+        return [(0, h)]
+    step = max(1, recognizek.LINE_STRIP_HEIGHT - recognizek.LINE_STRIP_OVERLAP)
+    strips = []
+    y = 0
+    while y < h:
+        y2 = min(y + recognizek.LINE_STRIP_HEIGHT, h)
+        if y2 - y >= recognizek.MIN_STRIP_PX:
+            strips.append((y, y2))
+        y += step
+    return strips
+
+
+def _scalar_crop(img, box):
+    """Reference clamp (recognize.py:9-13) + PIL-style zero-padded crop."""
+    x1, y1, x2, y2 = box
+    x1, y1 = max(0, x1), max(0, y1)
+    x2, y2 = max(x1 + 1, x2), max(y1 + 1, y2)
+    out = np.zeros((y2 - y1, x2 - x1), dtype=img.dtype)
+    h, w = img.shape[:2]
+    sy1, sy2 = min(y1, h), min(y2, h)
+    sx1, sx2 = min(x1, w), min(x2, w)
+    if sy2 > sy1 and sx2 > sx1:
+        out[: sy2 - sy1, : sx2 - sx1] = img[sy1:sy2, sx1:sx2]
+    return out
+
+
 class TestStripProperties:
+    @given(
+        # the mode and size thresholds (56, 8) sit at small heights
+        h=st.one_of(st.integers(0, 2000), st.integers(0, 130)),
+        oh=st.one_of(st.none(), st.integers(-100, 4000), st.integers(0, 130)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scalar_walk(self, h, oh):
+        assert recognizek.strip_bounds(h, oh) == _scalar_strip_bounds(h, oh)
+
     @given(h=st.integers(1, 2000), oh=st.one_of(st.none(), st.integers(1, 4000)))
     @settings(max_examples=300, deadline=None)
     def test_bounds_within_crop_and_min_height(self, h, oh):
@@ -62,9 +115,17 @@ class TestClampProperties:
     @given(box=st.tuples(*[st.integers(-100, 600)] * 4))
     @settings(max_examples=100, deadline=None)
     def test_crop_shape_matches_clamp(self, box):
-        img = np.zeros((64, 64), dtype=np.uint8)
+        # unscaled: every strip spans the clamped box's columns and lies
+        # within its rows; a single strip is the whole clamped crop
         x1, y1, x2, y2 = recognizek.clamp_box(box)
-        assert recognizek.crop(img, box).shape == (y2 - y1, x2 - x1)
+        b, ry0, ry1, rx0, rx1 = recognizek.crop_strips(
+            np.asarray([box], dtype=np.int64), np.ones(1), np.ones(1)
+        )
+        assert set(b.tolist()) == {0}
+        assert set(rx0.tolist()) == {x1} and set(rx1.tolist()) == {x2}
+        assert all(y1 <= a < c <= y2 for a, c in zip(ry0.tolist(), ry1.tolist()))
+        if len(b) == 1:
+            assert (ry0[0], ry1[0]) == (y1, y2)
 
 
 class TestOrderProperties:
@@ -344,7 +405,7 @@ class TestProposePolygonsProperty:
     @settings(max_examples=80, deadline=None)
     def test_batch_equals_scalar_walk(self, data):
         """A batch grouped by work shape onto canvases, as
-        ``kernels.extract.detect_batch`` does, equals the scalar walk per
+        ``kernels.extract.extract_batch`` does, equals the scalar walk per
         image; the exception class matches wherever the scalar path raises
         (a zero-width work raster)."""
         import numpy as np
@@ -446,7 +507,204 @@ class TestDecodeStripsProperty:
                 y += run + int(rng.integers(1, 4))
             cells = rng.random((h, w)) < 0.4
             strips.append(np.where(rows[:, None] & cells, ink, noise).astype(np.uint8))
-        assert recognizek.decode_strips(strips) == [self._scalar_decode(s) for s in strips]
+        rects = [(s, 0, s.shape[0], 0, s.shape[1]) for s in strips]
+        assert recognizek.decode_strips(rects) == [self._scalar_decode(s) for s in strips]
+
+
+def _scalar_render_line(text, s):
+    """Reference line render: the per-word, per-glyph walk (each space
+    advances WORD_GAP*s, known glyphs 5s plus s between adjacent ones,
+    unknown characters skipped), width ``font.text_width``."""
+    out = np.zeros((font.GLYPH_H * s, max(0, font.text_width(text, s))), dtype=np.uint8)
+    x = 0
+    for i, word in enumerate(text.split(" ")):
+        if i:
+            x += font.WORD_GAP * s
+        for j, ch in enumerate(c for c in word if c in font.GLYPHS):
+            if j:
+                x += font.CHAR_GAP * s
+            glyph = np.kron(font.GLYPHS[ch], np.ones((s, s), dtype=np.uint8)) * 255
+            out[:, x : x + font.GLYPH_W * s] = glyph
+            x += font.GLYPH_W * s
+    return out
+
+
+def _scalar_paste(img, lines, s):
+    """Reference render paste: one ``_scalar_render_line`` block per
+    segment, clipped at the raster's edges, ink-maxed into the raster."""
+    h, w = img.shape
+    for y, segments in lines:
+        for x, text in segments:
+            block = _scalar_render_line(text, s)
+            bh, bw = block.shape
+            bh, bw = min(bh, h - y), min(bw, w - x)
+            if bh > 0 and bw > 0:
+                img[y : y + bh, x : x + bw] = np.maximum(
+                    img[y : y + bh, x : x + bw], block[:bh, :bw]
+                )
+
+
+_render_text = st.text(alphabet="AB1Z ?a", max_size=14)
+
+
+class TestRenderProperty:
+    """``media.render`` pastes one ``font.line_raster`` per line; it must
+    equal the per-word paste of every segment, including lines clipped
+    at the right and bottom edges and skipped unknown characters."""
+
+    @given(text=_render_text, s=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_render_line_equals_word_walk(self, text, s):
+        assert np.array_equal(font.render_line(text, s), _scalar_render_line(text, s))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_line_paste_equals_word_paste(self, data):
+        from ocr_platform_ray import media
+
+        s = data.draw(st.integers(1, 3), label="s")
+        h = data.draw(st.integers(0, 60), label="h")
+        w = data.draw(st.integers(0, 90), label="w")
+        y = data.draw(st.integers(0, h + 4), label="y0")
+        lines = []
+        for _ in range(data.draw(st.integers(0, 4), label="n_lines")):
+            x = data.draw(st.integers(0, w + 4), label="x0")
+            segments = []
+            for _ in range(data.draw(st.integers(1, 3), label="n_segments")):
+                text = data.draw(_render_text, label="text")
+                segments.append((x, text))
+                # segments never overlap: the next starts at or past this
+                # one's text_width end
+                x += max(0, font.text_width(text, s)) + data.draw(st.integers(0, 9), label="gap")
+            lines.append((y, segments))
+            y += font.GLYPH_H * s + data.draw(st.integers(0, 5), label="pitch")
+        got = np.zeros((h, w), dtype=np.uint8)
+        media.paste_lines(got, lines, s)
+        want = np.zeros((h, w), dtype=np.uint8)
+        _scalar_paste(want, lines, s)
+        assert np.array_equal(got, want)
+
+
+class TestBatchRecognizeProperty:
+    """``kernels.extract.extract_batch`` (shape-group canvases on one
+    sheet, array crop/strip arithmetic, one rectangle decode per batch)
+    equals the reference per-image walk on every span: render, detect or
+    given boxes, preprocess, per-box scaled crop with zero padding, the
+    strip walk, the per-strip band rule, "\\n" join and min conf."""
+
+    @staticmethod
+    def _scalar_span(ref, cfg, given, page):
+        from ocr_platform_ray import media
+        from ocr_platform_ray.kernels.extract import detect_image
+        from ocr_platform_ray.kernels.preprocess import preprocess
+
+        img = media.render(ref)
+        if given is None:
+            boxes, _w, _h = detect_image(ref, cfg, img=img)
+        else:
+            boxes = [tuple(int(v) for v in b) for b in given]
+        img_prep = preprocess(img, cfg.max_side)
+        h_prep, w_prep = img_prep.shape
+        w_orig = page[0] or img.shape[1]
+        h_orig = page[1] or img.shape[0]
+        sx = w_prep / w_orig if w_orig else 1.0
+        sy = h_prep / h_orig if h_orig else 1.0
+        out = []
+        for (x1, y1, x2, y2) in boxes:
+            crop = _scalar_crop(img_prep, (int(x1 * sx), int(y1 * sy), int(x2 * sx), int(y2 * sy)))
+            bounds = _scalar_strip_bounds(crop.shape[0], y2 - y1)
+            strips = [crop] if len(bounds) <= 1 else [crop[a:b] for a, b in bounds]
+            dec = [TestDecodeStripsProperty._scalar_decode(st_) for st_ in strips]
+            if len(dec) == 1:
+                text, conf = dec[0]
+            else:
+                text, conf = "\n".join(t for t, _ in dec), min(c for _, c in dec)
+            out.append(((x1, y1, x2, y2), text.strip(), conf))
+        return img.shape[1], img.shape[0], out
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scalar_path(self, data):
+        from ocr_platform_ray import media
+        from ocr_platform_ray.kernels.extract import (
+            DEAD_LETTER_ERRORS, ExtractConfig, detect_image, extract_batch,
+        )
+
+        cfg = ExtractConfig(
+            max_side=data.draw(st.sampled_from([1200, 1200, 64]), label="max_side"),
+            detect_max_side=data.draw(st.sampled_from([0, 0, 40]), label="detect_max_side"),
+        )
+        shapes = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.integers(0, 90), st.integers(0, 140)),
+                    # wider or taller than 1,200 px: the preprocess shrink
+                    st.sampled_from([(40, 1300), (1230, 60), (70, 1210)]),
+                ),
+                min_size=1, max_size=3,
+            ),
+            label="shapes",
+        )
+        refs, given, pages = [], [], []
+        for i in range(data.draw(st.integers(1, 6), label="n_spans")):
+            h, w = data.draw(st.sampled_from(shapes), label="shape")
+            if data.draw(st.integers(0, 9), label="bad") == 0:
+                refs.append("img://bad")
+            else:
+                refs.append(media.make_ref(
+                    data.draw(st.integers(0, 999), label="seed"), i, w, h,
+                    data.draw(st.integers(0, 6), label="lines"),
+                ))
+            # page dims smaller than the raster scale crops up: a box of
+            # original height <= 56 then crops taller than 56 (crop-height
+            # mode); 5x larger ones shrink 32-row page strips under 8 rows,
+            # so a tall box keeps one strip and reads its full crop
+            page = data.draw(st.sampled_from([
+                (0, 0), (w, h), (max(1, w // 3), max(1, h // 3)), (2 * w, 2 * h), (5 * w, 5 * h),
+            ]), label="page")
+            pages.append(page)
+            mode = data.draw(st.sampled_from(["detect", "detect", "given", "text"]), label="mode")
+            boxes = None
+            if mode == "given":
+                xs = st.integers(-20, page[0] + 30 if page[0] else w + 30)
+                ys = st.integers(-20, page[1] + 30 if page[1] else h + 30)
+                box = st.one_of(
+                    st.tuples(xs, ys, xs, ys),  # anything: past the edges, x2 <= x1, ...
+                    # tall: original height over 56 (original-height mode)
+                    st.tuples(xs, ys, xs, st.integers(57, 160)).map(
+                        lambda b: (b[0], b[1], b[2], b[1] + b[3])
+                    ),
+                )
+                boxes = data.draw(st.lists(box, max_size=4), label="boxes")
+            elif mode == "text":
+                # the raster's own text boxes in page coordinates, grown
+                # down by up to 120 page rows: given boxes over real glyphs
+                try:
+                    found = detect_image(refs[-1], ExtractConfig())[0]
+                except DEAD_LETTER_ERRORS:
+                    found = []
+                sx = page[0] / w if page[0] and w else 1
+                sy = page[1] / h if page[1] and h else 1
+                grow = data.draw(st.integers(0, 120), label="grow")
+                boxes = [
+                    (int(x1 * sx), int(y1 * sy), int(x2 * sx), int(y2 * sy) + grow)
+                    for x1, y1, x2, y2 in found
+                ]
+            given.append(boxes)
+        got = extract_batch(refs, cfg, given, page_dims=pages)
+        for k, ref in enumerate(refs):
+            try:
+                w, h, want = self._scalar_span(ref, cfg, given[k], pages[k])
+            except DEAD_LETTER_ERRORS as e:
+                assert type(got.errors[k]) is type(e), (k, ref)
+                continue
+            assert got.errors[k] is None, (k, ref, got.errors[k])
+            assert got.dims[k] == (w, h)
+            a, b = got.box_off[k], got.box_off[k + 1]
+            have = list(zip(
+                map(tuple, got.boxes[a:b].tolist()), got.texts[a:b], got.confs[a:b].tolist()
+            ))
+            assert have == want, (k, ref, given[k], pages[k])
 
 
 class TestExactQuantileProperty:

@@ -2,12 +2,15 @@
 malformed lines/rows are dropped (dead-letter at read)."""
 
 import json
+import sys
+import types
 
+import pandas as pd
 import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ocr_platform_ray import corpus, oracle
+from ocr_platform_ray import corpus, oracle, pipeline
 from ocr_platform_ray.kernels.extract import ExtractConfig
 from ocr_platform_ray.pipeline import PipelineOptions, build_extract_pipeline
 from ocr_platform_ray.sources import read_corpus_jsonl, write_corpus_jsonl
@@ -76,3 +79,30 @@ def test_fast_path_clean_corpus_edge_shapes(tmp_path):
     assert got["b"] == [{"kind": "image", "text": "", "media_ref": "", "offset": 0}]
     assert got["c"] == []
     assert got["d"] == [{"kind": "text", "text": "x", "media_ref": "", "offset": 0}]
+
+
+def test_read_corpus_dispatches_to_lance(monkeypatch):
+    """With ``lance`` importable, the io seam hands the path and the
+    reader's arguments to ``ray.data.read_lance``."""
+    calls = []
+    monkeypatch.setitem(sys.modules, "lance", types.ModuleType("lance"))
+    monkeypatch.setattr(
+        rd, "read_lance", lambda path, **kw: calls.append((path, kw)) or "lance-ds"
+    )
+    got = pipeline.read_corpus("s3://bucket/docs.lance", columns=["doc_id", "spans"])
+    assert got == "lance-ds"
+    assert calls == [("s3://bucket/docs.lance", {"columns": ["doc_id", "spans"]})]
+
+
+def test_read_corpus_falls_back_to_parquet(monkeypatch, tmp_path):
+    """Without ``lance`` the seam reads Parquet, schema metadata stripped."""
+    def no_lance(*_a, **_k):
+        raise AssertionError("read_lance called without lance")
+
+    monkeypatch.setitem(sys.modules, "lance", None)  # import lance -> ImportError
+    monkeypatch.setattr(rd, "read_lance", no_lance)
+    path = tmp_path / "documents.parquet"
+    pd.DataFrame({"doc_id": [1, 2], "text": ["a", "b"]}).to_parquet(path)
+    ds = pipeline.read_corpus(str(path), columns=["doc_id"])
+    assert sorted(r["doc_id"] for r in ds.take_all()) == [1, 2]
+    assert not ds.schema().base_schema.metadata
