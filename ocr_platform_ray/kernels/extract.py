@@ -124,8 +124,9 @@ def extract_batch(
     of the whole batch are cropped and strip-split in array passes
     (``recognizek.crop_strips``) and every strip decodes from the sheet
     in one ``recognizek.decode_rects`` call — no raster, crop or strip is
-    copied per box. A span whose media cannot be rendered or detected,
-    or whose given boxes are invalid, is a dead letter."""
+    copied per box. A span whose media cannot be rendered or detected
+    (given boxes or not), or whose given boxes are invalid, is a dead
+    letter."""
     n = len(refs)
     given = boxes if boxes is not None else [None] * n
     errors: list = [None] * n
@@ -137,8 +138,9 @@ def extract_batch(
             if given[k] is not None:
                 span_boxes[k] = _int_boxes(given[k])
             h, w = media.raster_shape(ref)
-            if given[k] is None:
-                detectk.work_shape(h, w, cfg.detect_max_side)
+            # given boxes pass the same check: a human edit comes after a
+            # detect, which dead-letters a raster it cannot work on
+            detectk.work_shape(h, w, cfg.detect_max_side)
         except DEAD_LETTER_ERRORS as e:
             errors[k] = e
             continue

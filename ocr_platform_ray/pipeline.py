@@ -13,9 +13,13 @@ Physical design (SURVEY §4, §7.4):
   per-bucket batch sizes over a materialized prepared boundary (still one
   scan; costs the pipelining overlap — measured +4 s at sf0.1, which is
   why it is opt-in).
-- the extract stages are task maps over callable stage instances: stage
-  state (glyph templates) is built at import once per worker process, and
-  Ray reuses task workers across Datasets in a session, so no actor pool
+- one stage class, ``ExtractStage``, runs every extraction Dataset: the
+  fused run (recognize on), the two-phase detect phase (recognize off; it
+  writes the ``detect`` checkpoint column) and the recognize phase
+  (recognize on over that column), so the two paths cannot drift;
+- the stage is a task map over a callable stage instance: stage state
+  (glyph templates) is built at import once per worker process, and Ray
+  reuses task workers across Datasets in a session, so no actor pool
   starts per Dataset (a two-phase job executes one per shard and phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
@@ -42,7 +46,7 @@ import ray.data as rd
 
 from .corpus import spans_from_document
 from .kernels.extract import ExtractConfig
-from .stages.extract import DetectStage, ExtractStage, RecognizeStage
+from .stages.extract import ExtractStage
 from .stages.normalize import count_spans_batch, normalize_spans_batch
 
 
@@ -55,8 +59,7 @@ class PipelineOptions:
     heavy_batch_size: int = 2       # bucketed mode: one heavy doc can't straggle a batch
     uniform_batch_size: int = 32    # uniform mode (measured best of 8/16/32/64 at sf0.1)
     skew_mode: str = "uniform"      # "uniform" | "bucketed" (extreme heavy tails)
-    # cap on concurrent stage tasks (a tuple's upper bound); None -> no cap
-    concurrency: tuple[int, int] | int | None = None
+    concurrency: int | None = None  # cap on concurrent stage tasks; None -> no cap
     num_cpus: float = 1.0
     num_gpus: float = 0.0           # plumbed through for GPU clusters; 0 in sandbox
     # retry budget (reference: Celery autoretry <=3/<=2, ocr_tasks.py:58-65;
@@ -81,8 +84,7 @@ class PipelineOptions:
         kw = self.task_kwargs()
         if self.num_gpus:
             kw["num_gpus"] = self.num_gpus
-        cap = self.concurrency
-        kw["concurrency"] = cap[1] if isinstance(cap, tuple) else cap
+        kw["concurrency"] = self.concurrency
         return kw
 
 
@@ -208,8 +210,8 @@ def build_extract_pipeline(
     opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
 ) -> rd.Dataset:
-    """Flagship fused pipeline: docs -> normalize -> (bucketed) fused
-    detect+recognize -> extracted span sequences. Overrides (human-edit
+    """Flagship fused pipeline: docs -> normalize -> (bucketed)
+    ``ExtractStage`` -> extracted span sequences. Overrides (human-edit
     analogue) are broadcast once via ``ray.put``."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
@@ -293,11 +295,12 @@ def build_detect_pipeline(
     cfg: ExtractConfig | None = None,
     opts: PipelineOptions | None = None,
 ) -> rd.Dataset:
-    """Two-phase, phase 1 (reference run_job -> DETECT_DONE): emit doc rows
-    with the embedded ``detect`` column. Checkpoint this to parquet."""
+    """Two-phase, phase 1 (reference run_job -> DETECT_DONE): the same
+    ``ExtractStage`` with recognize off emits doc rows with the embedded
+    ``detect`` column. Checkpoint this to parquet."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
-    return _bucketed(_prepared(ds, opts), DetectStage(cfg), opts)
+    return _bucketed(_prepared(ds, opts), ExtractStage(cfg, recognize=False), opts)
 
 
 def build_recognize_pipeline(
@@ -306,11 +309,12 @@ def build_recognize_pipeline(
     opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
 ) -> rd.Dataset:
-    """Two-phase, phase 2 (reference run_ocr_job): consume the detect
-    checkpoint (possibly human-edited via the override table) and emit
-    extracted span sequences. Input rows already carry ``detect`` +
+    """Two-phase, phase 2 (reference run_ocr_job): ``ExtractStage`` over
+    the detect checkpoint takes each span's boxes from its ``detect``
+    entry (or its override, the human edit) instead of detecting, and
+    emits extracted span sequences. Input rows already carry ``detect`` +
     ``n_image_spans``; the bucket split reuses them without re-counting."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _bucketed(detected, RecognizeStage(cfg, ov_ref), opts)
+    return _bucketed(detected, ExtractStage(cfg, ov_ref), opts)

@@ -70,12 +70,13 @@ def _coerce_row(obj: dict) -> dict | None:
         return None
 
 
-def _parse_lines_scalar(lines: list[str]) -> pa.Table:
-    """Per-line dead-letter path: malformed JSON lines and rows failing
-    the coercion contract are dropped row-by-row."""
+def _parse_lines(batch: pa.Table) -> pa.Table:
+    """Per-line dead-letter parse of a ``read_text`` batch: blank lines,
+    malformed JSON lines and rows failing the coercion contract are
+    dropped row-by-row."""
     rows = []
-    for line in lines:
-        line = line.strip()
+    for line in batch.column("text").to_pylist():
+        line = (line or "").strip()
         if not line:
             continue
         try:
@@ -89,107 +90,12 @@ def _parse_lines_scalar(lines: list[str]) -> pa.Table:
 
 
 def read_corpus_jsonl(path: str) -> rd.Dataset:
-    """Read an interleaved-document corpus from JSONL file(s).
-
-    read_text + per-batch parsing with TWO paths (read_json cannot
-    enforce the nested span struct against heterogeneous rows):
-
-    - fast path: the whole line batch parses in one vectorized
-      ``polars.read_ndjson`` pass against the strict schema, then
-      row-level validation (doc_id present, every span kind in
-      {text,image}) and null coercion run as columnar expressions;
-    - dead-letter path: if ANY line is malformed (bad JSON, wrong types),
-      strict parsing raises and the batch falls back to the original
-      per-line loop, dropping exactly the bad rows.
-
-    Clean corpora — the overwhelmingly common case at scale — never pay
-    the per-line Python loop; a batch containing damage pays it once."""
-    import io
-
-    import polars as pl
-
-    span_dtype = pl.List(
-        pl.Struct(
-            {
-                "kind": pl.String,
-                "text": pl.String,
-                "media_ref": pl.String,
-                "offset": pl.Int32,
-            }
-        )
-    )
-
-    def _fast_path_agrees(df: "pl.DataFrame", n_lines: int) -> bool:
-        """The vectorized parse is trusted only when it provably matches
-        the scalar contract: no line silently dropped or type-coerced
-        (polars casts a JSON number to a schema'd String; the scalar path
-        dead-letters that row)."""
-        if df.height != n_lines:
-            return False  # some line was silently skipped
-        if df.schema.get("doc_id") != pl.String:
-            return False
-        stype = df.schema.get("spans")
-        if stype is None:
-            return True  # no row had spans: all coerce to empty lists
-        if not (stype == pl.List and stype.inner == pl.Struct):
-            return False
-        fields = dict(stype.inner.to_schema())
-        for name in ("kind", "text", "media_ref"):
-            if name not in fields or fields[name] != pl.String:
-                return False
-        return "offset" in fields and fields["offset"] in (pl.Int64, pl.Int32)
-
-    def parse(batch: pa.Table) -> pa.Table:
-        lines = [
-            ln for ln in batch.column("text").to_pylist() if ln and ln.strip()
-        ]
-        if not lines:
-            return DOCUMENTS_SCHEMA.empty_table()
-        try:
-            df = pl.read_ndjson(
-                io.BytesIO("\n".join(lines).encode()),
-                infer_schema_length=None,
-            )
-        except Exception:
-            return _parse_lines_scalar(lines)
-        if not _fast_path_agrees(df, len(lines)):
-            return _parse_lines_scalar(lines)
-        if "spans" not in df.columns:
-            df = df.with_columns(pl.lit(None, dtype=span_dtype).alias("spans"))
-        df = df.select("doc_id", "spans")
-        # row validation, columnar: doc_id present; every span kind valid
-        # (a null/unknown kind drops the whole row, same as _coerce_row)
-        kind_ok = (
-            pl.col("spans")
-            .list.eval(
-                pl.element()
-                .struct.field("kind")
-                .is_in(["text", "image"])
-                .fill_null(False)
-            )
-            .list.all()
-            .fill_null(True)  # missing spans == no spans == valid
-        )
-        df = df.filter(pl.col("doc_id").is_not_null() & kind_ok)
-        # null coercion inside each span struct (text/media_ref -> "",
-        # offset -> 0), and null span lists -> empty lists
-        df = df.with_columns(
-            pl.col("spans")
-            .list.eval(
-                pl.struct(
-                    kind=pl.element().struct.field("kind"),
-                    text=pl.element().struct.field("text").fill_null(""),
-                    media_ref=pl.element()
-                    .struct.field("media_ref")
-                    .fill_null(""),
-                    offset=pl.element().struct.field("offset").fill_null(0),
-                )
-            )
-            .fill_null(pl.lit([], dtype=span_dtype))
-        )
-        return df.to_arrow().cast(DOCUMENTS_SCHEMA)
-
-    return rd.read_text(path).map_batches(parse, batch_format="pyarrow")
+    """Read an interleaved-document corpus from JSONL file(s): read_text
+    + a per-batch parse (read_json cannot enforce the nested span struct
+    against heterogeneous rows). Each line is parsed and coerced to the
+    documents schema on its own (``_coerce_row``), so a malformed line
+    drops only its own row."""
+    return rd.read_text(path).map_batches(_parse_lines, batch_format="pyarrow")
 
 
 def write_corpus_jsonl(docs: list[dict], path: str) -> None:

@@ -1,23 +1,25 @@
-"""Extract stages: detect, recognize, fused extract.
+"""The extract stage: one class for the fused run and both phases of the
+two-phase run.
 
 Mirrors the reference's per-process model singletons (``@lru_cache``
 detector/recognizer — /root/reference/libs/ocr_core/ocr_core/pipeline/
 detect.py:68-82, engines/vietocr_engine.py:47-53): state is per worker
 process — glyph templates build when this module is imported, and the
 broadcast override table is resolved once per process, memoized by its
-ref. A stage instance holds only its config and that ref; ``__call__``
-processes an Arrow batch of document rows. Deploy as a task map with
-``ds.map_batches(Cls(cfg, overrides_ref), batch_size=B)``; in a GPU
-deployment these stages take ``num_gpus`` (the sandbox is CPU-only — the
-knob is plumbed through PipelineOptions).
+ref. A stage instance holds only its config, that ref and whether it
+recognizes; ``__call__`` processes an Arrow batch of document rows.
+Deploy as a task map with ``ds.map_batches(ExtractStage(cfg,
+overrides_ref), batch_size=B)``; in a GPU deployment the stage takes
+``num_gpus`` (the sandbox is CPU-only — the knob is plumbed through
+PipelineOptions).
 
 Per batch, the heavy work runs batch-wide in ``kernels.extract.
-extract_batch``, the one path of all three stages: render into one
-canvas per raster shape, detect once per canvas, crop and strip-split
-every box in array passes, decode every strip at once; row iteration is
-only orchestration. Overrides are the human-edit
-analogue (PATCH /jobs/{id}/detect): a small table broadcast once via
-``ray.put`` — never re-shipped per batch or pickled into the task.
+extract_batch``: render into one canvas per raster shape, detect once
+per canvas, crop and strip-split every box in array passes, decode every
+strip at once; row iteration is only orchestration. Overrides are the
+human-edit analogue (PATCH /jobs/{id}/detect): a small table broadcast
+once via ``ray.put`` — never re-shipped per batch or pickled into the
+task.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from .. import font  # noqa: F401  (imported so templates build once per worker)
-from ..kernels.extract import (
-    ExtractConfig,
-    Extracted,
-    extract_batch,
-    safe_extract_image_span,  # noqa: F401  (re-exported; oracle/test surface)
-)
+from ..kernels.extract import ExtractConfig, Extracted, extract_batch
 from ..schema import BOX_STRUCT, EXTRACTED_SCHEMA, SPAN_STRUCT
 
 DETECT_ENTRY = pa.struct(
@@ -46,14 +43,14 @@ DETECT_ENTRY = pa.struct(
 )
 
 
-# Input columns the extract stages consume; anything else (e.g. tenant_id,
+# Input columns the extract stage consumes; anything else (e.g. tenant_id,
 # provenance tags) is forwarded to the output untouched, in input row order.
-_CONSUMED_COLS = {"spans", "n_spans", "n_image_spans", "detect", "n_detect_errors"}
+_CONSUMED_COLS = {"spans", "n_image_spans", "detect", "n_detect_errors"}
 
 def _with_passthrough(out: pa.Table, batch: pa.Table) -> pa.Table:
     """Forward non-consumed input columns (tenant scoping / metadata) onto
-    the stage output — valid because stages emit exactly one output row per
-    input row, in order."""
+    the stage output — valid because the stage emits exactly one output row
+    per input row, in order."""
     for name in batch.column_names:
         if name in _CONSUMED_COLS or name in out.column_names:
             continue
@@ -97,19 +94,6 @@ def _spans_flat(batch: pa.Table):
     refs = vals.field("media_ref").to_pylist()
     offs = vals.field("offset").to_numpy(zero_copy_only=False)
     return off, kinds, texts, refs, offs
-
-
-def _image_span_indices(off: np.ndarray, kinds: list) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of image spans + their row ids (one searchsorted)."""
-    img_j = np.array(
-        [j for j in range(len(kinds)) if kinds[j] == "image"], dtype=np.int64
-    )
-    rows = (
-        np.searchsorted(off, img_j, side="right") - 1
-        if img_j.size
-        else np.array([], dtype=np.int64)
-    )
-    return img_j, rows
 
 
 def _assemble_batch(
@@ -226,134 +210,117 @@ def overrides_to_lookup(rows: list[dict]) -> dict[tuple[str, int], list[tuple]]:
     return out
 
 
-class DetectStage:
-    """Doc rows -> doc rows + ``detect`` column (one entry per image span,
-    boxes in original page coordinates, reading order). The embedded-row
-    analogue of the reference's detect_result TEXT column (DETECT_DONE)."""
+class ExtractStage:
+    """Doc rows -> extracted span sequences (reference ``run_ocr``), or,
+    with ``recognize`` off, doc rows + the ``detect`` checkpoint column
+    (reference ``run_job`` -> DETECT_DONE: one entry per image span,
+    boxes in original page coordinates, reading order). The fused run is
+    one stage with recognize on; the two-phase run is the same stage with
+    recognize off, a checkpoint, then recognize on over the checkpoint.
 
-    def __init__(self, cfg: ExtractConfig | None = None):
-        self.cfg = cfg or ExtractConfig()
+    A span's boxes come from one rule: its override if it has one;
+    otherwise its entry in the input's ``detect`` column when that column
+    exists (a span with no entry was dead-lettered at detect and already
+    counted, so it is skipped); otherwise detection. Every span then goes
+    through one ``extract_batch`` call, and the result merges back in
+    offset order, row-local (every span of a doc lives in its row)."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        off, kinds, _texts, refs, _offs = _spans_flat(batch)
-        img_j, img_rows = _image_span_indices(off, kinds)
-        res = extract_batch([refs[j] for j in img_j.tolist()], self.cfg, recognize=False)
-        boxes = res.boxes.tolist()
-        box_off = res.box_off.tolist()
-        detect_col: list[list] = [[] for _ in range(batch.num_rows)]
-        err_col = [0] * batch.num_rows
-        for k, (j, r) in enumerate(zip(img_j.tolist(), img_rows.tolist())):
-            if res.errors[k] is not None:
-                # dead-letter: malformed media_ref -> no detect entry ->
-                # recognize emits nothing for this span; counted so the
-                # shard manifest surfaces it
-                err_col[r] += 1
-                continue
-            w, h = res.dims[k]
-            detect_col[r].append(
-                {
-                    "span_idx": j - int(off[r]),
-                    "width": w,
-                    "height": h,
-                    "boxes": [
-                        {"x1": b[0], "y1": b[1], "x2": b[2], "y2": b[3]}
-                        for b in boxes[box_off[k] : box_off[k + 1]]
-                    ],
-                }
-            )
-        out = batch
-        for name in ("detect", "n_detect_errors"):
-            if name in out.column_names:
-                out = out.drop_columns([name])
-        out = out.append_column(
-            "detect", pa.array(detect_col, type=pa.list_(DETECT_ENTRY))
-        )
-        return out.append_column("n_detect_errors", pa.array(err_col, pa.int32()))
-
-
-class RecognizeStage:
-    """Doc rows with ``detect`` column -> extracted span sequences.
-
-    Applies overrides (broadcast), recognizes each image span's boxes with
-    the exact reference arithmetic, drops empty normalized text spans, and
-    merges everything back in offset order — all row-local (no shuffle:
-    every span of a doc lives in its row). Spans with boxes go through
-    ``extract_batch`` as given boxes: rendered into shape-group canvases,
-    cropped, split and decoded batch-wide, with the fused stage's code."""
-
-    def __init__(self, cfg: ExtractConfig | None = None, overrides_ref=None):
+    def __init__(
+        self, cfg: ExtractConfig | None = None, overrides_ref=None, recognize: bool = True
+    ):
         self.cfg = cfg or ExtractConfig()
         self.overrides_ref = overrides_ref
+        self.recognize = recognize
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         overrides = _override_lookup(self.overrides_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
-        img_j, img_rows = _image_span_indices(off, kinds)
-        detect_col = batch.column("detect").to_pylist()
-        det_errs = (
-            batch.column("n_detect_errors").to_pylist()
-            if "n_detect_errors" in batch.column_names
+        names = batch.column_names
+        detect_col = batch.column("detect").to_pylist() if "detect" in names else None
+        base_errors = (
+            [int(e or 0) for e in batch.column("n_detect_errors").to_pylist()]
+            if "n_detect_errors" in names
             else [0] * batch.num_rows
         )
-        # a span dead-lettered at detect has no entry (already counted);
-        # a span with no boxes renders nothing and yields no blocks
-        det_by_row: dict[int, dict] = {}
+        sel_j, sel_rows, sel_idx, sel_boxes, sel_dims = [], [], [], [], []
+        row_off = off.tolist()
+        for r in range(batch.num_rows):
+            a = row_off[r]
+            entries = (
+                None if detect_col is None
+                else {e["span_idx"]: e for e in (detect_col[r] or [])}
+            )
+            for j in range(a, row_off[r + 1]):
+                if kinds[j] != "image":
+                    continue
+                i = j - a
+                boxes = overrides.get((doc_ids[r], i))
+                dims = (0, 0)  # 0: the raster's own
+                if entries is not None:
+                    entry = entries.get(i)
+                    if entry is None:
+                        continue
+                    if boxes is None:
+                        boxes = [(b["x1"], b["y1"], b["x2"], b["y2"]) for b in entry["boxes"]]
+                    dims = (entry["width"], entry["height"])
+                sel_j.append(j)
+                sel_rows.append(r)
+                sel_idx.append(i)
+                sel_boxes.append(boxes)
+                sel_dims.append(dims)
+        res = extract_batch(
+            [refs[j] for j in sel_j], self.cfg, sel_boxes, sel_dims, self.recognize
+        )
+        if not self.recognize:
+            return _with_detect(batch, res, sel_rows, sel_idx, base_errors)
         res_at = np.full(len(kinds), -1, dtype=np.int64)
-        sel_refs, sel_boxes, sel_dims = [], [], []
-        for j, r in zip(img_j.tolist(), img_rows.tolist()):
-            i = j - int(off[r])
-            if r not in det_by_row:
-                det_by_row[r] = {e["span_idx"]: e for e in (detect_col[r] or [])}
-            entry = det_by_row[r].get(i)
-            if entry is None:
-                continue
-            boxes = overrides.get((doc_ids[r], i))
-            if boxes is None:
-                boxes = [(b["x1"], b["y1"], b["x2"], b["y2"]) for b in entry["boxes"]]
-            if not boxes:
-                continue
-            res_at[j] = len(sel_refs)
-            sel_refs.append(refs[j])
-            sel_boxes.append(boxes)
-            sel_dims.append((entry["width"], entry["height"]))
-        res = extract_batch(sel_refs, self.cfg, sel_boxes, page_dims=sel_dims)
+        res_at[sel_j] = np.arange(len(sel_j))
         out = _assemble_batch(
-            doc_ids, off, kinds, texts, refs, offs, self.cfg, res, res_at,
-            base_errors=[int(e or 0) for e in det_errs],
+            doc_ids, off, kinds, texts, refs, offs, self.cfg, res, res_at, base_errors
         )
         return _with_passthrough(out, batch)
 
 
-class ExtractStage:
-    """Fused detect+recognize (reference ``run_ocr`` analogue): a single
-    stage, no intermediate detect materialization, each raster rendered
-    once into its shape group's canvas and shared by both kernels
-    (``extract_batch``). Produces exactly what DetectStage ->
-    RecognizeStage produces (same kernels, deterministic)."""
-
-    def __init__(self, cfg: ExtractConfig | None = None, overrides_ref=None):
-        self.cfg = cfg or ExtractConfig()
-        self.overrides_ref = overrides_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        overrides = _override_lookup(self.overrides_ref)
-        doc_ids = batch.column("doc_id").to_pylist()
-        off, kinds, texts, refs, offs = _spans_flat(batch)
-        img_j, img_rows = _image_span_indices(off, kinds)
-        img_j = img_j.tolist()
-        ov = [
-            overrides.get((doc_ids[r], j - int(off[r])))
-            for j, r in zip(img_j, img_rows.tolist())
-        ]
-        res = extract_batch([refs[j] for j in img_j], self.cfg, ov)
-        res_at = np.full(len(kinds), -1, dtype=np.int64)
-        res_at[img_j] = np.arange(len(img_j))
-        out = _assemble_batch(
-            doc_ids, off, kinds, texts, refs, offs, self.cfg, res, res_at,
-            base_errors=[0] * len(doc_ids),
+def _with_detect(
+    batch: pa.Table, res: Extracted, rows: list, span_idx: list, base_errors: list
+) -> pa.Table:
+    """``batch`` with its ``detect`` column (one entry per detected span)
+    and ``n_detect_errors`` (spans dead-lettered here or before: a span
+    with no entry emits nothing at recognize) set from ``res``."""
+    boxes = res.boxes.tolist()
+    box_off = res.box_off.tolist()
+    detect_col: list[list] = [[] for _ in range(batch.num_rows)]
+    err_col = list(base_errors)
+    for k, (r, i) in enumerate(zip(rows, span_idx)):
+        if res.errors[k] is not None:
+            err_col[r] += 1
+            continue
+        w, h = res.dims[k]
+        detect_col[r].append(
+            {
+                "span_idx": i,
+                "width": w,
+                "height": h,
+                "boxes": [
+                    {"x1": b[0], "y1": b[1], "x2": b[2], "y2": b[3]}
+                    for b in boxes[box_off[k] : box_off[k + 1]]
+                ],
+            }
         )
-        return _with_passthrough(out, batch)
+    out = batch.drop_columns(
+        [c for c in ("detect", "n_detect_errors") if c in batch.column_names]
+    )
+    out = out.append_column("detect", pa.array(detect_col, type=pa.list_(DETECT_ENTRY)))
+    return out.append_column("n_detect_errors", pa.array(err_col, pa.int32()))
+
+
+def DetectStage(cfg: ExtractConfig | None = None) -> ExtractStage:
+    """The detect phase under the name the benchmark harness imports."""
+    return ExtractStage(cfg, recognize=False)
+
+
+RecognizeStage = ExtractStage  # the recognize phase, likewise
 
 
 def detect_rows_view(batch: pa.Table) -> pa.Table:

@@ -38,19 +38,16 @@ def _rebuild_list(counts: np.ndarray, values: pa.Array) -> pa.ListArray:
 
 
 def count_spans_batch(batch: pa.Table) -> pa.Table:
-    """Add n_spans / n_image_spans columns (cheap skew key for bucketing —
-    the reference's pdf page-count analogue, routes_jobs.py:68-73)."""
+    """Add the n_image_spans column (cheap skew key for bucketing — the
+    reference's pdf page-count analogue, routes_jobs.py:68-73)."""
     counts, values = _list_parts(batch.column("spans"))
     is_img = pc.equal(values.field("kind"), "image").to_numpy(zero_copy_only=False)
     parent = np.repeat(np.arange(len(counts)), counts)
     n_img = np.bincount(parent[is_img], minlength=len(counts)).astype(np.int32)
     out = batch
-    for name in ("n_spans", "n_image_spans"):
-        if name in out.column_names:
-            out = out.drop_columns([name])
-    out = out.append_column("n_spans", pa.array(counts.astype(np.int32)))
-    out = out.append_column("n_image_spans", pa.array(n_img))
-    return out
+    if "n_image_spans" in out.column_names:
+        out = out.drop_columns(["n_image_spans"])
+    return out.append_column("n_image_spans", pa.array(n_img))
 
 
 def normalize_text_array(text: pa.Array) -> pa.Array:

@@ -54,7 +54,7 @@ def _assert_equal(got: dict, expected: dict):
 
 def test_fused_pipeline_matches_oracle(docs, expected):
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=(1, 4)))
+    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=4))
     _assert_equal(_result_map(out), expected)
 
 
@@ -62,7 +62,7 @@ def test_partitioning_invariance(docs, expected):
     """Output must not depend on block layout (SURVEY §7.5.1)."""
     tbl = corpus.docs_to_table(docs)
     ds = rd.from_arrow(tbl).repartition(13)
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=(1, 2)))
+    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
     _assert_equal(_result_map(out), expected)
 
 
@@ -70,7 +70,7 @@ def test_two_phase_equals_fused(docs, expected, tmp_path):
     """Detect checkpoint -> recognize == fused (the reference's DETECT_DONE
     two-phase resume property)."""
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    opts = PipelineOptions(concurrency=(1, 4))
+    opts = PipelineOptions(concurrency=4)
     detected = build_detect_pipeline(ds, opts=opts)
     ckpt = str(tmp_path / "detect_ckpt")
     detected.write_parquet(ckpt)
@@ -86,7 +86,7 @@ def test_overrides_applied(docs):
     expected_ov = oracle.oracle_extract_docs(docs, ExtractConfig(), overrides=ov)
     ds = rd.from_arrow(corpus.docs_to_table(docs))
     out = build_extract_pipeline(
-        ds, opts=PipelineOptions(concurrency=(1, 2)), overrides=ov
+        ds, opts=PipelineOptions(concurrency=2), overrides=ov
     )
     got = _result_map(out)
     _assert_equal(got, expected_ov)
@@ -105,7 +105,7 @@ def test_override_table_resolved_once_per_process(docs):
 
     ov = corpus.generate_overrides(docs, seed=7)
     stage = stages.ExtractStage(ExtractConfig(), ray.put(ov))
-    assert vars(stage).keys() == {"cfg", "overrides_ref"}
+    assert vars(stage).keys() == {"cfg", "overrides_ref", "recognize"}
     stages._override_lookup.cache_clear()
     batch = corpus.docs_to_table(docs[:8])
     assert stage(batch) == stage(batch)
@@ -119,7 +119,7 @@ def test_result_overrides_applied(docs):
     from ocr_platform_ray.pipeline import apply_result_overrides
 
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    base = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=(1, 2)))
+    base = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
     target = docs[0]["doc_id"]
     replacement = [
         {"kind": "text", "text": "HUMAN EDITED", "media_ref": "", "offset": 0},
@@ -149,7 +149,7 @@ def test_result_overrides_applied(docs):
 
 def test_schema(docs):
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=(1, 2)))
+    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
     schema = out.schema()
     assert schema.names == [
         "doc_id", "spans_out", "n_spans_out", "n_blocks",
@@ -178,7 +178,7 @@ def test_malformed_media_ref_dead_letter():
         ("text", "tail", "", 1),
     ]
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=(1, 2)))
+    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
     rows = out.take_all()
     _assert_equal(_result_map(out), expected)
     # the poison span is counted, not just dropped (manifest surfacing)
@@ -191,7 +191,7 @@ def test_recognize_phase_poison_counted_not_fatal():
     not a shard-killing exception."""
     import pyarrow as pa
 
-    from ocr_platform_ray.stages.extract import RecognizeStage
+    from ocr_platform_ray.stages.extract import ExtractStage
 
     batch = pa.Table.from_pylist([
         {
@@ -207,7 +207,7 @@ def test_recognize_phase_poison_counted_not_fatal():
             "n_detect_errors": 0,
         }
     ])
-    out = RecognizeStage()(batch).to_pylist()
+    out = ExtractStage()(batch).to_pylist()
     assert len(out) == 1
     assert out[0]["n_span_errors"] == 1
     assert [s["kind"] for s in out[0]["spans_out"]] == ["text"]
@@ -217,15 +217,15 @@ def test_recognize_phase_poison_counted_not_fatal():
 def test_stage_batch_parity_mixed(detect_max_side):
     """One stage batch mixing malformed refs, a zero-width (0x10) and a
     zero-height (10x0) raster, override spans and images of several
-    shapes: ExtractStage and DetectStage -> RecognizeStage both equal the
-    oracle, per-span dead-letter counts included."""
+    shapes: the fused stage and the detect -> recognize phases of the same
+    stage both equal the oracle, per-span dead-letter counts included.
+    Overrides on the 0x10 and 10x0 spans pin that a given box does not
+    rescue a raster detect rejects."""
     import ray
 
     from ocr_platform_ray import media
     from ocr_platform_ray.kernels.extract import safe_extract_image_span
-    from ocr_platform_ray.stages.extract import (
-        DetectStage, ExtractStage, RecognizeStage,
-    )
+    from ocr_platform_ray.stages.extract import ExtractStage
     from ocr_platform_ray.stages.normalize import count_spans_batch, normalize_spans_batch
 
     cfg = ExtractConfig(detect_max_side=detect_max_side)
@@ -245,6 +245,13 @@ def test_stage_batch_parity_mixed(detect_max_side):
                     {"x1": 1, "y1": 1, "x2": max(3, w - 1), "y2": min(h, 88)},
                 ]})
                 break
+    # overrides on the 0x10 and 10x0 spans: a human edit comes after a
+    # detect, so a raster detect dead-letters stays one with edited boxes
+    for doc in (docs[3], docs[6]):
+        idx = len(doc["spans"]) - 1
+        _s, _i, w, h, _n = media.parse_ref(doc["spans"][idx]["media_ref"])
+        ov.append({"doc_id": doc["doc_id"], "span_idx": idx, "boxes": [
+            {"x1": 0, "y1": 0, "x2": max(2, w // 2), "y2": min(h, 57)}]})
     assert ov
     shapes = {
         media.raster_shape(sp["media_ref"])
@@ -271,7 +278,7 @@ def test_stage_batch_parity_mixed(detect_max_side):
     ov_ref = ray.put(ov)
     for out in (
         ExtractStage(cfg, ov_ref)(batch),
-        RecognizeStage(cfg, ov_ref)(DetectStage(cfg)(batch)),
+        ExtractStage(cfg, ov_ref)(ExtractStage(cfg, recognize=False)(batch)),
     ):
         rows = out.to_pylist()
         got = {

@@ -46,7 +46,7 @@ def _read_all(out_dir):
     return rows
 
 
-OPTS = PipelineOptions(concurrency=(1, 2))
+OPTS = PipelineOptions(concurrency=2)
 
 
 def test_fresh_run_commits_all_shards(input_path, tmp_path):

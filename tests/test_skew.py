@@ -59,7 +59,7 @@ def test_heavy_tail_extracts_correctly():
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
     ds = rd.from_arrow(corpus.docs_to_table(docs))
     out = build_extract_pipeline(
-        ds, opts=PipelineOptions(concurrency=(1, 2), heavy_batch_size=1)
+        ds, opts=PipelineOptions(concurrency=2, heavy_batch_size=1)
     )
     got = {}
     for batch in out.iter_batches(batch_size=64, batch_format="pyarrow"):
@@ -81,7 +81,7 @@ def test_bucketed_mode_matches_uniform():
     out = build_extract_pipeline(
         ds,
         opts=PipelineOptions(
-            skew_mode="bucketed", concurrency=(1, 4), heavy_batch_size=1
+            skew_mode="bucketed", concurrency=4, heavy_batch_size=1
         ),
     )
     got = {}

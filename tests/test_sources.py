@@ -22,7 +22,7 @@ def test_jsonl_equals_parquet_pipeline(tmp_path):
     write_corpus_jsonl(docs, str(jl))
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
     ds = read_corpus_jsonl(str(jl))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=(1, 2)))
+    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
     got = {}
     for b in out.iter_batches(batch_size=64, batch_format="pyarrow"):
         for r in b.to_pylist():
@@ -50,9 +50,10 @@ def test_malformed_lines_dropped(tmp_path):
     assert ids == ["ok-1", "ok-3"]
 
 
-def test_fast_path_clean_corpus_edge_shapes(tmp_path):
-    """Clean (all-JSON-valid) corpora take the vectorized polars path;
-    its null/missing-field coercions must match the scalar contract."""
+def test_coercion_contract_edge_shapes(tmp_path):
+    """The reader's coercion contract on valid-JSON edge shapes: null and
+    missing fields coerce to defaults, extra keys are ignored, rows with
+    no doc_id or an unknown span kind are dropped."""
     jl = tmp_path / "clean.jsonl"
     rows = [
         # nominal row

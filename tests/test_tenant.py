@@ -20,7 +20,7 @@ from ocr_platform_ray.pipeline import (
     scope_tenant,
 )
 
-OPTS = PipelineOptions(concurrency=(1, 2))
+OPTS = PipelineOptions(concurrency=2)
 
 
 def _tenant_docs(n=24, seed=5):
