@@ -47,7 +47,8 @@ def read_parquet_clean(*args, map_kwargs: dict | None = None, **kwargs) -> rd.Da
 
 def _coerce_row(obj: dict) -> dict | None:
     """Validate + coerce one parsed JSON object to the documents schema;
-    None for structurally malformed rows (dead-letter)."""
+    None for structurally malformed rows (dead-letter), including a span
+    offset outside the schema's int32."""
     try:
         doc_id = obj["doc_id"]
         if not isinstance(doc_id, str):
@@ -55,14 +56,15 @@ def _coerce_row(obj: dict) -> dict | None:
         spans = []
         for sp in obj.get("spans") or []:
             kind = sp.get("kind")
-            if kind not in ("text", "image"):
+            offset = int(sp.get("offset", 0))
+            if kind not in ("text", "image") or not -2**31 <= offset < 2**31:
                 return None
             spans.append(
                 {
                     "kind": kind,
                     "text": str(sp.get("text") or ""),
                     "media_ref": str(sp.get("media_ref") or ""),
-                    "offset": int(sp.get("offset", 0)),
+                    "offset": offset,
                 }
             )
         return {"doc_id": doc_id, "spans": spans}

@@ -1,7 +1,8 @@
-"""Golden snapshots for the rows-only queries (no DuckDB oracle): pinned
-sf0.001 outputs catch cross-round regressions in the non-SQL operators
-(LSH/minhash/simhash pairs, winnowing, HLL, media features, detect view,
-extraction totals) that the driver's rows-only check cannot see.
+"""Golden snapshots for the registry records marked ``golden=True``
+(rows-only queries, no DuckDB oracle): pinned sf0.001 outputs catch
+cross-round regressions in the non-SQL operators (LSH/minhash/simhash
+pairs, winnowing, HLL, media features, detect view, extraction totals)
+that a rows-only check cannot see.
 
 Regenerate DELIBERATELY with ``python tools/make_query_goldens.py`` when a
 semantics change is intentional, and say so in the commit message.
@@ -16,7 +17,9 @@ import pyarrow.parquet as pq
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
-from make_query_goldens import GOLDEN_QUERIES, SF_DIR, normalized  # noqa: E402
+from make_query_goldens import SF_DIR, normalized  # noqa: E402
+
+from ocr_platform_ray.queries import REGISTRY  # noqa: E402
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -31,11 +34,11 @@ def _cellwise_equal(a, b) -> bool:
     return a == b
 
 
-@pytest.mark.parametrize("name", GOLDEN_QUERIES)
-def test_query_matches_golden(name, ray_session):
-    from ocr_platform_ray import queries as q
-
-    got = normalized(q.queries()[name](SF_DIR))
+@pytest.mark.parametrize("rec", [r for r in REGISTRY if r.golden],
+                         ids=lambda r: r.name)
+def test_query_matches_golden(rec, ray_session):
+    name = rec.name
+    got = normalized(rec.fn(SF_DIR))
     want = pq.read_table(
         os.path.join(GOLDEN_DIR, f"{name}.sf0.001.parquet")
     ).to_pandas()

@@ -595,6 +595,7 @@ class TestBatchRecognizeProperty:
     @staticmethod
     def _scalar_span(ref, cfg, given, page):
         from ocr_platform_ray import media
+        from ocr_platform_ray.kernels import detectk
         from ocr_platform_ray.kernels.extract import detect_image
         from ocr_platform_ray.kernels.preprocess import preprocess
 
@@ -602,6 +603,9 @@ class TestBatchRecognizeProperty:
         if given is None:
             boxes, _w, _h = detect_image(ref, cfg, img=img)
         else:
+            # given boxes follow a detect, so a raster detect rejects
+            # (zero-width work raster) is a dead letter with them too
+            detectk.work_shape(*img.shape[:2], cfg.detect_max_side)
             boxes = [tuple(int(v) for v in b) for b in given]
         img_prep = preprocess(img, cfg.max_side)
         h_prep, w_prep = img_prep.shape

@@ -53,7 +53,8 @@ def test_malformed_lines_dropped(tmp_path):
 def test_coercion_contract_edge_shapes(tmp_path):
     """The reader's coercion contract on valid-JSON edge shapes: null and
     missing fields coerce to defaults, extra keys are ignored, rows with
-    no doc_id or an unknown span kind are dropped."""
+    no doc_id, an unknown span kind or an out-of-int32 offset are
+    dropped."""
     jl = tmp_path / "clean.jsonl"
     rows = [
         # nominal row
@@ -72,6 +73,9 @@ def test_coercion_contract_edge_shapes(tmp_path):
         json.dumps({"spans": []}),
         json.dumps({"doc_id": "e", "spans": [
             {"kind": "video", "text": "", "media_ref": "", "offset": 0}]}),
+        # span offset outside int32 -> dropped, not a failed batch
+        json.dumps({"doc_id": "f", "spans": [
+            {"kind": "text", "text": "x", "media_ref": "", "offset": 2**40}]}),
     ]
     jl.write_text("\n".join(rows) + "\n")
     got = {r["doc_id"]: r["spans"] for r in read_corpus_jsonl(str(jl)).take_all()}

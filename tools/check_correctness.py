@@ -1,9 +1,10 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf, compare row-count + column names + order-insensitive
 value hash against oracle_sql() via DuckDB. A query with no oracle must
-return the row count named in ``ROWS_ONLY``. Every output must also be
-free of the dtypes in :func:`dtype_flags`. Each query's name goes to
-stderr before it runs, so a crash of the whole process names its query.
+pass the row rule of its record in ``queries.REGISTRY``. Every output
+must also be free of the dtypes in :func:`dtype_flags`. Each query's
+name goes to stderr before it runs, so a crash of the whole process
+names its query.
 Usage:
 
     python tools/check_correctness.py [sf_dir] [query ...]
@@ -67,64 +68,20 @@ def dtype_flags(df) -> list[str]:
     return flags
 
 
-# Rows-only queries (no value oracle) and the row count each must return.
-# An int holds at every scale; a str is DuckDB SQL over the same views
-# whose one value is the count; a dict pins a data-dependent count per
-# scale directory (its basename). A rows-only query with no count named
-# for the scale fails the gate.
-_DOCS = "SELECT count(*) FROM documents"
-ROWS_ONLY: dict = {
-    # one row per input row or per distinct key
-    "q_streaming_dedup": _DOCS,
-    "q_leakage_split_neardup": _DOCS,
-    "q_extract_flagship": _DOCS,
-    "q_audio_features": _DOCS,
-    "q_bpe_encode": _DOCS,
-    "q_fingerprint": _DOCS,
-    "q_winnow_fingerprints": _DOCS,
-    "q_pack_sequences": _DOCS,
-    "q_embedding_pca": "SELECT count(*) FROM embeddings",
-    "q_compression_stats": "SELECT count(DISTINCT source) FROM documents",
-    "q_approx_distinct_users": "SELECT count(DISTINCT event_type) FROM events",
-    "q_price_quantiles_sketch":
-        "SELECT count(DISTINCT l_returnflag) FROM lineitem",
-    # one weight per dimension, intercept, log_loss, accuracy, n
-    "q_logreg_label": "SELECT max(len(embedding)) + 4 FROM embeddings",
-    # fixed by the query's parameters
-    "q_parquet_audit": 10,
-    "q_extract_summary": 1,
-    "q_bpe_merges": 40,
-    "q_kmeans_summary": 8,
-    "q_ann_topk_pq": 10,
-    "q_ann_topk_int8": 10,
-    "q_ann_topk_ivf": 10,
-    # data-dependent; sf0.001 equals the tests/goldens row counts
-    "q_ann_topk_lsh": {"sf0.001": 6, "sf0.01": 6, "sf0.1": 10},
-    "q_cms_token_counts": {"sf0.001": 31, "sf0.01": 31, "sf0.1": 31},
-    "q_detect_boxes": {"sf0.001": 1302, "sf0.01": 1382, "sf0.1": 14793},
-    "q_media_features": {"sf0.001": 364, "sf0.01": 360, "sf0.1": 3670},
-    "q_media_features_jpeg": {"sf0.001": 190, "sf0.01": 191, "sf0.1": 196},
-    "q_image_dups": {"sf0.001": 17, "sf0.01": 29, "sf0.1": 2450},
-    "q_video_frame_features": {"sf0.001": 321, "sf0.01": 326, "sf0.1": 326},
-    "q_video_frame_features_mjpeg":
-        {"sf0.001": 136, "sf0.01": 121, "sf0.1": 134},
-    "q_minhash_edit_verified": {"sf0.001": 28, "sf0.01": 25, "sf0.1": 256},
-    "q_minhash_pairs": {"sf0.001": 28, "sf0.01": 25, "sf0.1": 256},
-    "q_minhash_dedup_docs": {"sf0.001": 476, "sf0.01": 476, "sf0.1": 4758},
-    "q_simhash_pairs": {"sf0.001": 27, "sf0.01": 26, "sf0.1": 754},
-    "q_jaccard_dups": {"sf0.001": 28, "sf0.01": 25, "sf0.1": 256},
-    "q_semantic_dedup": {"sf0.001": 501, "sf0.01": 508, "sf0.1": 2071},
-    "q_embedding_dups": {"sf0.001": 104, "sf0.01": 106, "sf0.1": 425},
-}
+def check_rows(rule, got, sf_dir: str, con) -> tuple[bool, int | None]:
+    """Apply a registry record's row rule (see ``queries.Q``) to the
+    output ``got``; returns (ok, expected row count). A dict rule with no
+    count for this scale fails."""
+    from ocr_platform_ray.queries import KeySet
 
-
-def expected_rows(name: str, sf_dir: str, con) -> int | None:
-    want = ROWS_ONLY.get(name)
-    if isinstance(want, dict):
-        want = want.get(os.path.basename(os.path.normpath(sf_dir)))
-    if isinstance(want, str):
-        want = int(con.execute(want).fetchone()[0])
-    return want
+    if isinstance(rule, KeySet):
+        want = con.execute(rule.sql).fetchdf().iloc[:, 0].tolist()
+        return sorted(got[rule.column].tolist()) == sorted(want), len(want)
+    if isinstance(rule, dict):
+        rule = rule.get(os.path.basename(os.path.normpath(sf_dir)))
+    if isinstance(rule, str):
+        rule = int(con.execute(rule).fetchone()[0])
+    return rule is not None and len(got) == rule, rule
 
 
 def main():
@@ -152,9 +109,11 @@ def main():
     ctx.enable_progress_bars = False
 
     import __ray_entry__ as entrymod
+    from ocr_platform_ray.queries import REGISTRY
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
+    rules = {r.name: r.rows for r in REGISTRY}
 
     con = duckdb.connect()
     for t in "region nation customer supplier part orders lineitem events documents embeddings".split():
@@ -198,13 +157,7 @@ def main():
                             "want": w.iloc[i].to_dict(),
                         }
             else:
-                want_rows = expected_rows(name, sf_dir, con)
-                ok = want_rows is not None and len(got) == want_rows
-                if name == "q_streaming_dedup":  # one row per input doc
-                    want_ids = con.execute(
-                        "SELECT doc_id FROM documents"
-                    ).fetchdf()["doc_id"].tolist()
-                    ok = ok and sorted(got["doc_id"].tolist()) == sorted(want_ids)
+                ok, want_rows = check_rows(rules[name], got, sf_dir, con)
                 results[name] = {"rows": [len(got), want_rows],
                                  "ok": ok and not flags, "rows_only": True}
             if flags:

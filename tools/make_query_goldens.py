@@ -1,6 +1,7 @@
-"""(Re)generate golden parquet snapshots for the rows-only queries
-(tests/goldens/q_*.sf0.001.parquet). Run deliberately when a semantics
-change is intentional; the diff then shows exactly what drifted:
+"""(Re)generate golden parquet snapshots for the registry records marked
+``golden=True`` (tests/goldens/q_*.sf0.001.parquet). Run deliberately
+when a semantics change is intentional; the diff then shows exactly
+what drifted:
 
     python tools/make_query_goldens.py
 """
@@ -12,49 +13,15 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from ocr_platform_ray.queries import REGISTRY  # noqa: E402
+
 SF_DIR = "/root/testdata/sf0.001"
 OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "tests", "goldens")
 
-# rows-only queries: no DuckDB oracle, so cross-round regressions are only
-# visible through these pinned snapshots (VERDICT r1 item 9)
-GOLDEN_QUERIES = [
-    "q_fingerprint",
-    "q_winnow_fingerprints",
-    "q_minhash_pairs",
-    "q_simhash_pairs",
-    "q_media_features",
-    "q_detect_boxes",
-    "q_ann_topk_lsh",
-    "q_ann_topk_ivf",
-    "q_embedding_dups",
-    # q_price_quantiles_sketch is deliberately NOT pinned: the equi-depth
-    # summary is rank-accurate but its exact sample points depend on block
-    # boundaries (which vary with num_cpus), so a byte-exact golden would
-    # flake; its accuracy bound is pinned by TestQuantileSketch instead.
-    "q_minhash_dedup_docs",
-    "q_approx_distinct_users",
-    "q_extract_summary",
-    "q_jaccard_dups",
-    "q_pack_sequences",
-    "q_kmeans_summary",
-    "q_semantic_dedup",
-    "q_ann_topk_int8",
-    "q_audio_features",
-    "q_media_features_jpeg",
-    "q_video_frame_features",
-    "q_bpe_merges",
-    "q_bpe_encode",
-    "q_image_dups",
-    "q_cms_token_counts",
-    "q_compression_stats",
-    "q_minhash_edit_verified",
-    "q_video_frame_features_mjpeg",
-    "q_embedding_pca",
-    "q_logreg_label",
-    "q_ann_topk_pq",
-    "q_leakage_split_neardup",
-]
+# the registry records with ``golden=True``: rows-only queries, whose
+# cross-round regressions show only through these pinned snapshots
+GOLDEN_QUERIES = [r.name for r in REGISTRY if r.golden]
 
 
 def normalized(res):
