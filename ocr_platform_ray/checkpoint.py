@@ -19,6 +19,7 @@ hash-of-doc_id filtering (test-scale convenience).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -83,7 +84,7 @@ def _shard_dataset(plan: ShardPlan) -> rd.Dataset:
         h = hash_str_np(batch.column("doc_id"))
         return batch.filter(pa.array(h % np.uint64(n) == np.uint64(i)))
 
-    return ds.map_batches(pick, batch_format="pyarrow")
+    return ds.map_batches(pick, **PipelineOptions().task_kwargs())
 
 
 def _manifest_path(out_dir: str, shard_id: int) -> str:
@@ -144,23 +145,24 @@ def config_sig(
     ).hexdigest()[:16]
 
 
-# per-worker memo: ray.get re-deserializes the whole survivor set on every
-# call otherwise (O(|survivors|) per BATCH instead of per worker)
-_SURV_CACHE: dict = {}
+@functools.lru_cache(maxsize=8)
+def _survivor_array(survivors_ref) -> pa.Array:
+    """Per-worker memo of the broadcast survivor set as a sorted Arrow
+    array, keyed by its ObjectRef: fetched and converted once per process,
+    not per batch."""
+    import ray
+
+    return pa.array(sorted(ray.get(survivors_ref)))
 
 
 def _keep_survivors(survivors_ref):
-    def fn(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        surv_arr = _SURV_CACHE.get(survivors_ref)
-        if surv_arr is None:
-            surv_arr = pa.array(sorted(_ray.get(survivors_ref)))
-            _SURV_CACHE[survivors_ref] = surv_arr
-        mask = pa.compute.is_in(batch.column("doc_id"), value_set=surv_arr)
+    def keep_survivors(batch: pa.Table) -> pa.Table:
+        mask = pa.compute.is_in(
+            batch.column("doc_id"), value_set=_survivor_array(survivors_ref)
+        )
         return batch.filter(mask)
 
-    return fn
+    return keep_survivors
 
 
 def _written_stats(part_dir: str) -> dict:
@@ -211,7 +213,6 @@ def run_shard(
     plan: ShardPlan,
     out_dir: str,
     cfg: ExtractConfig | None = None,
-    opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
     two_phase: bool = False,
     n_shards: int | None = None,
@@ -249,7 +250,7 @@ def run_shard(
         # id set outgrows a node, replace with a semi-join against the
         # survivors parquet instead of a broadcast set.
         ds = ds.map_batches(
-            _keep_survivors(survivors_ref), batch_format="pyarrow"
+            _keep_survivors(survivors_ref), **PipelineOptions().task_kwargs()
         )
     stage_times: dict[str, float] = {}
     if two_phase:
@@ -258,7 +259,7 @@ def run_shard(
         shutil.rmtree(det_tmp, ignore_errors=True)
         os.makedirs(det_tmp, exist_ok=True)
         t_det = time.perf_counter()
-        det = build_detect_pipeline(ds, cfg=cfg, opts=opts)
+        det = build_detect_pipeline(ds, cfg=cfg)
         det.write_parquet(det_tmp)
         stage_times["detect_s"] = round(time.perf_counter() - t_det, 4)
         if os.environ.get("GRAFT_STATS"):
@@ -270,14 +271,12 @@ def run_shard(
         os.replace(det_tmp, det_dir)  # DETECT_DONE boundary committed
         detected = rd.read_parquet(det_dir)
         t_rec = time.perf_counter()
-        out = build_recognize_pipeline(
-            detected, cfg=cfg, opts=opts, overrides=overrides
-        )
+        out = build_recognize_pipeline(detected, cfg=cfg, overrides=overrides)
         out = apply_result_overrides(out, result_overrides)
         out.write_parquet(tmp_dir)
         stage_times["recognize_s"] = round(time.perf_counter() - t_rec, 4)
     else:
-        out = build_extract_pipeline(ds, cfg=cfg, opts=opts, overrides=overrides)
+        out = build_extract_pipeline(ds, cfg=cfg, overrides=overrides)
         out = apply_result_overrides(out, result_overrides)
         out.write_parquet(tmp_dir)
     if os.environ.get("GRAFT_STATS"):
@@ -370,7 +369,6 @@ def run_job(
     out_dir: str,
     n_shards: int = 8,
     cfg: ExtractConfig | None = None,
-    opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
     resume: bool = True,
     two_phase: bool = False,
@@ -486,7 +484,7 @@ def run_job(
         for attempt in range(shard_retries + 1):
             try:
                 run_shard(
-                    plan, out_dir, cfg=cfg, opts=opts, overrides=overrides,
+                    plan, out_dir, cfg=cfg, overrides=overrides,
                     two_phase=two_phase, n_shards=n_shards, sig=sig,
                     result_overrides=result_overrides,
                     survivors_ref=survivors_ref, tenant=tenant,

@@ -3,16 +3,16 @@
 Physical design (SURVEY §4, §7.4):
 - the main path has ZERO shuffles — every span of a document lives in its
   row, so normalize / detect / recognize / merge are all row-local;
-- skew (north_rule): handled by batch-cost bounding. Measured on the bench
-  corpus (sf0.1): n_image_spans mean 3, p99 35, max 40 — a uniform 32-doc
-  batch's cost variance is small, and a uniform single stage matches the
-  round-1 two-branch bucket split while reading + normalizing the corpus
-  exactly ONCE and keeping full streaming overlap (the split re-executed
-  the shared prefix per branch = 2x read). For corpora with a true heavy
-  tail (docs with hundreds of images), ``skew_mode="bucketed"`` restores
-  per-bucket batch sizes over a materialized prepared boundary (still one
-  scan; costs the pipelining overlap — measured +4 s at sf0.1, which is
-  why it is opt-in).
+- skew (north_rule): one mechanism, sized once at ingest. The bench
+  corpus's read splits into 2 x CPU blocks (below), so every CPU has
+  stage tasks at any CPU count, and each stage batch is a bounded 32 docs
+  (``uniform_batch_size``). Every span of a doc lives in its row, so no
+  doc is ever split across batches and nothing re-shuffles rows by
+  cost. On the bench corpus (sf0.1: image spans per doc mean 3, p99 35,
+  max 40) a 32-doc batch's cost varies little. A span-count bucket split
+  over a materialized boundary used to be selectable; it measured +4 s at
+  sf0.1 and was slower at every point of a heavy-tail grid
+  (BENCH/BASELINE.md), so it is gone;
 - one stage class, ``ExtractStage``, runs every extraction Dataset: the
   fused run (recognize on), the two-phase detect phase (recognize off; it
   writes the ``detect`` checkpoint column) and the recognize phase
@@ -23,8 +23,13 @@ Physical design (SURVEY §4, §7.4):
   starts per Dataset (a two-phase job executes one per shard and phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
+- every map on the extraction path (the job's shard pick, tenant scope
+  and dedup-survivor filter, normalize, the stage, the result overrides)
+  takes the same remote args, ``PipelineOptions().task_kwargs()``, so Ray
+  Data fuses them into the stage's operator: any map with different args
+  would start an operator of its own;
 - extraction Datasets run without Ray Data's per-operator resource
-  reservation (``_bucketed``). The reservation allocator holds at least
+  reservation (``_stage_map``). The reservation allocator holds at least
   one task's CPU for every operator, so on a 2-CPU session a light
   consumer map after the stage kept one slot and the stage ran one task
   at a time. The flag is set on the Dataset's own ``DataContext`` copy,
@@ -37,9 +42,11 @@ Physical design (SURVEY §4, §7.4):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -47,21 +54,15 @@ import ray.data as rd
 from .corpus import spans_from_document
 from .kernels.extract import ExtractConfig
 from .stages.extract import ExtractStage
-from .stages.normalize import count_spans_batch, normalize_spans_batch
+from .stages.normalize import normalize_spans_batch
 
 
 @dataclass
 class PipelineOptions:
-    """Physical knobs (per-stage resources; GPU slot kept for real deploys)."""
+    """The extraction path's two settings: the stage batch size and the
+    retry budget of every map."""
 
-    heavy_threshold: int = 9        # docs with >= this many image spans are "heavy"
-    light_batch_size: int = 64      # bucketed mode: light-bucket batch size
-    heavy_batch_size: int = 2       # bucketed mode: one heavy doc can't straggle a batch
-    uniform_batch_size: int = 32    # uniform mode (measured best of 8/16/32/64 at sf0.1)
-    skew_mode: str = "uniform"      # "uniform" | "bucketed" (extreme heavy tails)
-    concurrency: int | None = None  # cap on concurrent stage tasks; None -> no cap
-    num_cpus: float = 1.0
-    num_gpus: float = 0.0           # plumbed through for GPU clusters; 0 in sandbox
+    uniform_batch_size: int = 32    # docs per stage batch (measured best of 8/16/32/64 at sf0.1)
     # retry budget (reference: Celery autoretry <=3/<=2, ocr_tasks.py:58-65;
     # here: per-task retries of a crashed worker, lineage re-executes
     # blocks). Ray Data's task default retries forever, so a poison row
@@ -69,23 +70,14 @@ class PipelineOptions:
     max_task_retries: int = 3
 
     def task_kwargs(self) -> dict:
-        """``map_batches`` arguments of the prepare maps. The stage map
-        takes the same remote args, so Ray Data fuses prepare and stage
-        into one operator when no cap or GPU sets them apart."""
+        """``map_batches`` arguments of every map on the extraction path,
+        the stage's included: one set of remote args, so Ray Data fuses
+        the maps into one operator."""
         return {
             "batch_format": "pyarrow",
-            "num_cpus": self.num_cpus,
+            "num_cpus": 1,
             "max_retries": self.max_task_retries,
         }
-
-    def stage_kwargs(self) -> dict:
-        """``map_batches`` arguments of the stage map: ``task_kwargs`` plus
-        the GPU slot and the cap on concurrent stage tasks."""
-        kw = self.task_kwargs()
-        if self.num_gpus:
-            kw["num_gpus"] = self.num_gpus
-        kw["concurrency"] = self.concurrency
-        return kw
 
 
 def read_corpus(path: str, **kwargs) -> rd.Dataset:
@@ -149,40 +141,28 @@ def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
 
 def scope_tenant(ds: rd.Dataset, tenant_id: str) -> rd.Dataset:
     """Tenant-scoping filter (reference J3: every job/listing is filtered
-    by tenant_id, routes_jobs.py:52-63). A cheap row filter — at scale,
-    tenant-partitioned input directories make this a pruned read instead."""
-    return ds.filter(expr=f"tenant_id == '{tenant_id}'")
+    by tenant_id, routes_jobs.py:52-63). The id is compared as a value,
+    never pasted into an expression, so any string selects exactly its
+    own rows. A map with the extraction path's remote args, so it fuses
+    into the stage's operator — at scale, tenant-partitioned input
+    directories make this a pruned read instead."""
+
+    def in_tenant(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch.column("tenant_id"), tenant_id))
+
+    return ds.map_batches(in_tenant, **PipelineOptions().task_kwargs())
 
 
-def _prepared(ds: rd.Dataset, opts: PipelineOptions | None = None) -> rd.Dataset:
-    """Cheap vectorized prefix: span counts (skew key) + text normalize."""
-    kw = (opts or PipelineOptions()).task_kwargs()
-    ds = ds.map_batches(count_spans_batch, **kw)
-    return ds.map_batches(normalize_spans_batch, **kw)
+def _prepared(ds: rd.Dataset, opts: PipelineOptions) -> rd.Dataset:
+    """Cheap vectorized prefix: text normalize."""
+    return ds.map_batches(normalize_spans_batch, **opts.task_kwargs())
 
 
-def _bucketed(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
-    """Skew-handled stage over already-prepared rows (must carry
-    ``n_image_spans``). ``stage`` is a callable stage instance; Ray Data runs
-    it as a task map, so no pool starts per Dataset and the prepare maps
-    fuse into the stage's operator.
-
-    Default ("uniform"): ONE task map with a moderate uniform batch size.
-    Single scan, zero branches, full streaming overlap; batch-cost variance
-    is bounded because batch cost is a 32-doc sum (see module docstring).
-
-    "bucketed": materialize the cheap prepared boundary once, then split by
-    span-count bucket with per-bucket batch sizes and union. Branching a
-    lazy Dataset re-executes the shared prefix per branch (round 1 read +
-    normalized the corpus twice); materializing first pins the prepared
-    blocks in the object store (spilling to local disk beyond memory), at
-    the cost of the read/stage overlap (~+4 s at sf0.1). Two other
-    designs were measured and rejected: the lazy two-branch split (2x read
-    at any scale) and a generator rebatch stage feeding a
-    ``batch_size=None`` stage (yielded chunks are re-coalesced by the
-    output block builder up to target_max_block_size, so the stage saw
-    giant mixed batches). Every row passes the expensive stage exactly
-    once in all modes.
+def _stage_map(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
+    """``stage`` (a callable stage instance) as one task map over bounded
+    ``uniform_batch_size``-doc batches. It takes ``task_kwargs`` like every
+    other map on the path, so the maps before it fuse into its operator and
+    no pool starts per Dataset.
 
     The Dataset runs without Ray Data's per-operator resource reservation,
     which holds at least one task's CPU for every operator: a light map
@@ -193,15 +173,7 @@ def _bucketed(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
     downstream map must not take the stage's slot), and never touches
     ``DataContext.get_current()``."""
     ds.context.op_resource_reservation_enabled = False
-    kw = opts.stage_kwargs()
-    if opts.skew_mode != "bucketed":
-        return ds.map_batches(stage, batch_size=opts.uniform_batch_size, **kw)
-    prepared = ds.materialize()
-    light = prepared.filter(expr=f"n_image_spans < {opts.heavy_threshold}")
-    heavy = prepared.filter(expr=f"n_image_spans >= {opts.heavy_threshold}")
-    out_light = light.map_batches(stage, batch_size=opts.light_batch_size, **kw)
-    out_heavy = heavy.map_batches(stage, batch_size=opts.heavy_batch_size, **kw)
-    return out_light.union(out_heavy)
+    return ds.map_batches(stage, batch_size=opts.uniform_batch_size, **opts.task_kwargs())
 
 
 def build_extract_pipeline(
@@ -210,13 +182,13 @@ def build_extract_pipeline(
     opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
 ) -> rd.Dataset:
-    """Flagship fused pipeline: docs -> normalize -> (bucketed)
-    ``ExtractStage`` -> extracted span sequences. Overrides (human-edit
-    analogue) are broadcast once via ``ray.put``."""
+    """Flagship fused pipeline: docs -> normalize -> ``ExtractStage`` ->
+    extracted span sequences. Overrides (human-edit analogue) are
+    broadcast once via ``ray.put``."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _bucketed(_prepared(ds, opts), ExtractStage(cfg, ov_ref), opts)
+    return _stage_map(_prepared(ds, opts), ExtractStage(cfg, ov_ref), opts)
 
 
 def apply_result_overrides(
@@ -227,20 +199,35 @@ def apply_result_overrides(
     job's whole result JSON is replaced): rows whose doc_id appears in the
     override table get their span sequence replaced wholesale at merge
     time. The table is broadcast once via ``ray.put`` (small side), never
-    re-shipped per batch. Aggregates are recomputed from the replacement
-    (confidences read 1.0 — the text is human-verified, the reference
-    stores no conf for edited results); ``n_span_errors`` is preserved
-    (the edit doesn't un-poison the source media)."""
+    re-shipped per batch, and fetched once per worker process. Aggregates
+    are recomputed from the replacement (confidences read 1.0 — the text
+    is human-verified, the reference stores no conf for edited results);
+    ``n_span_errors`` is preserved (the edit doesn't un-poison the source
+    media). The map takes the stage's remote args, so it fuses into the
+    stage's operator."""
     if not result_overrides:
         return extracted
     ov_ref = ray.put(
         {r["doc_id"]: list(r["spans_out"]) for r in result_overrides}
     )
+    return extracted.map_batches(
+        _override_results(ov_ref), **PipelineOptions().task_kwargs()
+    )
 
-    def fn(batch: pa.Table) -> pa.Table:
+
+@functools.lru_cache(maxsize=8)
+def _result_override_table(ov_ref) -> dict:
+    """Per-worker memo of a broadcast result-override table, keyed by its
+    ObjectRef: fetched once per process, not per batch. Callers only read
+    the returned dict."""
+    return ray.get(ov_ref)
+
+
+def _override_results(ov_ref):
+    def override_results(batch: pa.Table) -> pa.Table:
         import numpy as np
 
-        ov = ray.get(ov_ref)
+        ov = _result_override_table(ov_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         hit = np.fromiter((d in ov for d in doc_ids), dtype=bool, count=len(doc_ids))
         if not hit.any():
@@ -287,7 +274,7 @@ def apply_result_overrides(
         inv[perm] = np.arange(len(perm))
         return combined.take(pa.array(inv))
 
-    return extracted.map_batches(fn, batch_format="pyarrow")
+    return override_results
 
 
 def build_detect_pipeline(
@@ -300,7 +287,7 @@ def build_detect_pipeline(
     ``detect`` column. Checkpoint this to parquet."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
-    return _bucketed(_prepared(ds, opts), ExtractStage(cfg, recognize=False), opts)
+    return _stage_map(_prepared(ds, opts), ExtractStage(cfg, recognize=False), opts)
 
 
 def build_recognize_pipeline(
@@ -312,9 +299,9 @@ def build_recognize_pipeline(
     """Two-phase, phase 2 (reference run_ocr_job): ``ExtractStage`` over
     the detect checkpoint takes each span's boxes from its ``detect``
     entry (or its override, the human edit) instead of detecting, and
-    emits extracted span sequences. Input rows already carry ``detect`` +
-    ``n_image_spans``; the bucket split reuses them without re-counting."""
+    emits extracted span sequences. Input rows already carry ``detect``
+    and normalized text, so no prefix map runs."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _bucketed(detected, ExtractStage(cfg, ov_ref), opts)
+    return _stage_map(detected, ExtractStage(cfg, ov_ref), opts)

@@ -9,9 +9,9 @@ broadcast override table is resolved once per process, memoized by its
 ref. A stage instance holds only its config, that ref and whether it
 recognizes; ``__call__`` processes an Arrow batch of document rows.
 Deploy as a task map with ``ds.map_batches(ExtractStage(cfg,
-overrides_ref), batch_size=B)``; in a GPU deployment the stage takes
-``num_gpus`` (the sandbox is CPU-only — the knob is plumbed through
-PipelineOptions).
+overrides_ref), batch_size=B)`` under the remote args every other map on
+the path takes (``pipeline.PipelineOptions.task_kwargs``), so the maps
+around it fuse into its operator.
 
 Per batch, the heavy work runs batch-wide in ``kernels.extract.
 extract_batch``: render into one canvas per raster shape, detect once
@@ -45,7 +45,7 @@ DETECT_ENTRY = pa.struct(
 
 # Input columns the extract stage consumes; anything else (e.g. tenant_id,
 # provenance tags) is forwarded to the output untouched, in input row order.
-_CONSUMED_COLS = {"spans", "n_image_spans", "detect", "n_detect_errors"}
+_CONSUMED_COLS = {"spans", "detect", "n_detect_errors"}
 
 def _with_passthrough(out: pa.Table, batch: pa.Table) -> pa.Table:
     """Forward non-consumed input columns (tenant scoping / metadata) onto

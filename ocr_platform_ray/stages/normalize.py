@@ -1,4 +1,5 @@
-"""Stateless vectorized stages over doc rows: span counting + text normalize.
+"""Stateless vectorized stages over doc rows: text normalize (and span
+counting for the benchmark).
 
 ``normalize_spans_batch`` is the vectorized (pyarrow.compute / RE2)
 implementation of the scalar spec in ``kernels.textnorm``; the conformance
@@ -38,8 +39,10 @@ def _rebuild_list(counts: np.ndarray, values: pa.Array) -> pa.ListArray:
 
 
 def count_spans_batch(batch: pa.Table) -> pa.Table:
-    """Add the n_image_spans column (cheap skew key for bucketing — the
-    reference's pdf page-count analogue, routes_jobs.py:68-73)."""
+    """Add the n_image_spans column (image spans per doc — the reference's
+    pdf page-count analogue, routes_jobs.py:68-73). The extraction path
+    does not run it; perfbench's stage walk is its only importer, kept
+    like ``DetectStage`` and ``RecognizeStage``."""
     counts, values = _list_parts(batch.column("spans"))
     is_img = pc.equal(values.field("kind"), "image").to_numpy(zero_copy_only=False)
     parent = np.repeat(np.arange(len(counts)), counts)

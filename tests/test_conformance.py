@@ -14,7 +14,6 @@ import ray.data as rd
 from ocr_platform_ray import corpus, oracle
 from ocr_platform_ray.kernels.extract import ExtractConfig
 from ocr_platform_ray.pipeline import (
-    PipelineOptions,
     build_detect_pipeline,
     build_extract_pipeline,
     build_recognize_pipeline,
@@ -54,7 +53,7 @@ def _assert_equal(got: dict, expected: dict):
 
 def test_fused_pipeline_matches_oracle(docs, expected):
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=4))
+    out = build_extract_pipeline(ds)
     _assert_equal(_result_map(out), expected)
 
 
@@ -62,7 +61,7 @@ def test_partitioning_invariance(docs, expected):
     """Output must not depend on block layout (SURVEY §7.5.1)."""
     tbl = corpus.docs_to_table(docs)
     ds = rd.from_arrow(tbl).repartition(13)
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
+    out = build_extract_pipeline(ds)
     _assert_equal(_result_map(out), expected)
 
 
@@ -70,12 +69,11 @@ def test_two_phase_equals_fused(docs, expected, tmp_path):
     """Detect checkpoint -> recognize == fused (the reference's DETECT_DONE
     two-phase resume property)."""
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    opts = PipelineOptions(concurrency=4)
-    detected = build_detect_pipeline(ds, opts=opts)
+    detected = build_detect_pipeline(ds)
     ckpt = str(tmp_path / "detect_ckpt")
     detected.write_parquet(ckpt)
     detected2 = rd.read_parquet(ckpt)
-    out = build_recognize_pipeline(detected2, opts=opts)
+    out = build_recognize_pipeline(detected2)
     _assert_equal(_result_map(out), expected)
 
 
@@ -85,9 +83,7 @@ def test_overrides_applied(docs):
     assert ov, "corpus should yield at least one override row"
     expected_ov = oracle.oracle_extract_docs(docs, ExtractConfig(), overrides=ov)
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(
-        ds, opts=PipelineOptions(concurrency=2), overrides=ov
-    )
+    out = build_extract_pipeline(ds, overrides=ov)
     got = _result_map(out)
     _assert_equal(got, expected_ov)
     # and the override must actually change at least one document
@@ -119,7 +115,7 @@ def test_result_overrides_applied(docs):
     from ocr_platform_ray.pipeline import apply_result_overrides
 
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    base = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
+    base = build_extract_pipeline(ds)
     target = docs[0]["doc_id"]
     replacement = [
         {"kind": "text", "text": "HUMAN EDITED", "media_ref": "", "offset": 0},
@@ -147,9 +143,29 @@ def test_result_overrides_applied(docs):
         ] == spans
 
 
+def test_result_override_table_resolved_once_per_process(docs):
+    """The result-override map ships only the table's ref; the table is
+    fetched once per worker process, memoized by that ref."""
+    import ray
+
+    from ocr_platform_ray import pipeline
+    from ocr_platform_ray.stages.extract import ExtractStage
+
+    target = docs[0]["doc_id"]
+    table = {target: [{"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}
+    fn = pipeline._override_results(ray.put(table))
+    batch = ExtractStage(ExtractConfig())(corpus.docs_to_table(docs[:8]))
+    pipeline._result_override_table.cache_clear()
+    first, second = fn(batch), fn(batch)
+    assert first == second
+    assert first.column("spans_out")[0].as_py()[0]["text"] == "EDITED"
+    info = pipeline._result_override_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_schema(docs):
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
+    out = build_extract_pipeline(ds)
     schema = out.schema()
     assert schema.names == [
         "doc_id", "spans_out", "n_spans_out", "n_blocks",
@@ -178,7 +194,7 @@ def test_malformed_media_ref_dead_letter():
         ("text", "tail", "", 1),
     ]
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
+    out = build_extract_pipeline(ds)
     rows = out.take_all()
     _assert_equal(_result_map(out), expected)
     # the poison span is counted, not just dropped (manifest surfacing)
@@ -226,7 +242,7 @@ def test_stage_batch_parity_mixed(detect_max_side):
     from ocr_platform_ray import media
     from ocr_platform_ray.kernels.extract import safe_extract_image_span
     from ocr_platform_ray.stages.extract import ExtractStage
-    from ocr_platform_ray.stages.normalize import count_spans_batch, normalize_spans_batch
+    from ocr_platform_ray.stages.normalize import normalize_spans_batch
 
     cfg = ExtractConfig(detect_max_side=detect_max_side)
     docs = corpus.generate_docs(24, seed=11)
@@ -274,7 +290,7 @@ def test_stage_batch_parity_mixed(detect_max_side):
     }
     assert sum(want_err.values()) == 4  # the malformed and 0x10 refs
 
-    batch = normalize_spans_batch(count_spans_batch(corpus.docs_to_table(docs)))
+    batch = normalize_spans_batch(corpus.docs_to_table(docs))
     ov_ref = ray.put(ov)
     for out in (
         ExtractStage(cfg, ov_ref)(batch),
@@ -290,3 +306,13 @@ def test_stage_batch_parity_mixed(detect_max_side):
         }
         _assert_equal(got, want)
         assert {r["doc_id"]: r["n_span_errors"] for r in rows} == want_err
+
+
+def test_count_spans_batch_counts_image_spans(docs):
+    """The page-count analogue counts each doc's image spans."""
+    from ocr_platform_ray.stages.normalize import count_spans_batch
+
+    out = count_spans_batch(corpus.docs_to_table(docs))
+    assert out.column("n_image_spans").to_pylist() == [
+        sum(s["kind"] == "image" for s in d["spans"]) for d in docs
+    ]

@@ -8,7 +8,8 @@ the reservation off on their own ``DataContext`` copy; these tests pin
 that two stage tasks overlap under a consumer map, that the global
 context is left alone, and that ``corpus_from_documents`` splits at the
 read (no Repartition) so the read's metadata strip and ``to_spans``
-fuse into the stage's operator.
+fuse into the stage's operator, and that the maps a checkpointed job adds
+before the stage fuse into it too.
 
 Everything runs in one child process with its own
 ``ray.init(num_cpus=2)``, under a timeout that kills the child's whole
@@ -71,10 +72,9 @@ try:
     log_dir = os.path.join(work, "calls")
     os.makedirs(log_dir)
     bs = PipelineOptions().uniform_batch_size
-    tbl = pa.table({"doc_id": [f"d{i}" for i in range(4 * bs)],
-                    "n_image_spans": [1] * (4 * bs)})
+    tbl = pa.table({"doc_id": [f"d{i}" for i in range(4 * bs)]})
     ds = rd.from_arrow([tbl.slice(i * bs, bs) for i in range(4)])
-    out = pipeline._bucketed(ds, SleepStage(log_dir), PipelineOptions())
+    out = pipeline._stage_map(ds, SleepStage(log_dir), PipelineOptions())
     rows = out.map_batches(consume, batch_format="pyarrow").take_all()
     calls = []
     for name in os.listdir(log_dir):
@@ -120,6 +120,31 @@ try:
             print("op", line)
             if "MapBatches(ExtractStage)" in line:
                 print("stage_op", line)
+
+    # 4. the job's detect phase on a tenant-scoped, hash-mod shard with a
+    # survivor set: the shard pick, tenant scope and survivor filter take
+    # the stage's remote args, so they fuse into the stage's operator
+    from ocr_platform_ray import checkpoint, corpus
+    shard = corpus.generate_corpus_table(40, seed=3)
+    shard = shard.append_column(
+        "tenant_id", pa.array([f"t{i % 2}" for i in range(shard.num_rows)]))
+    shard_path = os.path.join(work, "shard.parquet")
+    pq.write_table(shard, shard_path)
+    built = []
+    build_detect = checkpoint.build_detect_pipeline
+
+    def capture(*args, **kwargs):
+        built.append(build_detect(*args, **kwargs))
+        return built[-1]
+
+    checkpoint.build_detect_pipeline = capture
+    checkpoint.run_shard(
+        checkpoint.ShardPlan(0, hash_mod=(0, 2), input_path=shard_path),
+        os.path.join(work, "job"), two_phase=True, tenant="t0",
+        survivors_ref=ray.put(set(shard["doc_id"].to_pylist()[::3])))
+    for line in built[0].stats().splitlines():
+        if line.startswith("Operator"):
+            print("detect_op", line)
 finally:
     ray.shutdown()
 """
@@ -145,6 +170,14 @@ def child_out():
             pass
         proc.wait()
     return out, err[-2000:]
+
+
+def _assert_read_then_stage(ops):
+    """The operator right after the one read is the stage's."""
+    read = [i for i, ln in enumerate(ops) if re.match(r"Operator \d+ ReadParquet", ln)]
+    stage = [i for i, ln in enumerate(ops) if "MapBatches(ExtractStage)" in ln]
+    assert len(read) == 1 and len(stage) == 1, ops
+    assert stage[0] == read[0] + 1, ops
 
 
 def test_stage_tasks_overlap_under_a_consumer_map(child_out):
@@ -179,7 +212,15 @@ def test_no_operator_between_read_and_stage(child_out):
     out, err = child_out
     ops = [ln[len("op "):] for ln in out.splitlines() if ln.startswith("op ")]
     assert ops, out or err
-    read = [i for i, ln in enumerate(ops) if re.match(r"Operator \d+ ReadParquet", ln)]
-    stage = [i for i, ln in enumerate(ops) if "MapBatches(ExtractStage)" in ln]
-    assert len(read) == 1 and len(stage) == 1, ops
-    assert stage[0] == read[0] + 1, ops
+    _assert_read_then_stage(ops)
+
+
+def test_job_detect_phase_is_read_then_stage(child_out):
+    """The shard pick, tenant scope and dedup-survivor filter the job adds
+    before the stage carry the stage's remote args: the detect phase of a
+    scoped, hash-mod shard is ``ReadParquet`` then the stage's operator."""
+    out, err = child_out
+    ops = [ln[len("detect_op "):] for ln in out.splitlines()
+           if ln.startswith("detect_op ")]
+    assert ops, out or err
+    _assert_read_then_stage(ops)

@@ -17,7 +17,6 @@ from ocr_platform_ray.checkpoint import (
     plan_shards,
     run_job,
 )
-from ocr_platform_ray.pipeline import PipelineOptions
 
 N_DOCS = 60
 N_SHARDS = 4
@@ -46,12 +45,10 @@ def _read_all(out_dir):
     return rows
 
 
-OPTS = PipelineOptions(concurrency=2)
-
 
 def test_fresh_run_commits_all_shards(input_path, tmp_path):
     out = str(tmp_path / "out")
-    summary = run_job(input_path, out, n_shards=N_SHARDS, opts=OPTS)
+    summary = run_job(input_path, out, n_shards=N_SHARDS)
     assert summary["shards_ran"] == list(range(N_SHARDS))
     assert completed_shards(out) == set(range(N_SHARDS))
     ms = load_manifests(out)
@@ -64,16 +61,16 @@ def test_fresh_run_commits_all_shards(input_path, tmp_path):
 
 def test_resume_skips_done_and_equals_fresh(input_path, tmp_path):
     fresh = str(tmp_path / "fresh")
-    run_job(input_path, fresh, n_shards=N_SHARDS, opts=OPTS)
+    run_job(input_path, fresh, n_shards=N_SHARDS)
     fresh_rows = _read_all(fresh)
 
     partial = str(tmp_path / "partial")
-    run_job(input_path, partial, n_shards=N_SHARDS, opts=OPTS)
+    run_job(input_path, partial, n_shards=N_SHARDS)
     # lose shard 2: data dir + manifest (simulates a failed partition)
     shutil.rmtree(os.path.join(partial, "part-00002"))
     os.remove(os.path.join(partial, "manifest", "part-00002.json"))
 
-    summary = run_job(input_path, partial, n_shards=N_SHARDS, opts=OPTS)
+    summary = run_job(input_path, partial, n_shards=N_SHARDS)
     assert summary["shards_ran"] == [2]
     assert sorted(summary["shards_skipped"]) == [0, 1, 3]
     assert _read_all(partial) == fresh_rows
@@ -82,10 +79,10 @@ def test_resume_skips_done_and_equals_fresh(input_path, tmp_path):
 def test_partial_write_not_committed(input_path, tmp_path):
     """A data dir without a manifest is not 'complete' — it reruns."""
     out = str(tmp_path / "out")
-    run_job(input_path, out, n_shards=N_SHARDS, opts=OPTS)
+    run_job(input_path, out, n_shards=N_SHARDS)
     os.remove(os.path.join(out, "manifest", "part-00001.json"))
     # data dir still present (partial-commit state) -> must recompute
-    summary = run_job(input_path, out, n_shards=N_SHARDS, opts=OPTS)
+    summary = run_job(input_path, out, n_shards=N_SHARDS)
     assert summary["shards_ran"] == [1]
 
 
@@ -111,9 +108,9 @@ def test_two_phase_job_equals_fused(input_path, tmp_path):
     """--two-phase (persisted detect checkpoint + recognize) produces the
     same output as the fused job, and commits the detect intermediate."""
     fused = str(tmp_path / "fused")
-    run_job(input_path, fused, n_shards=2, opts=OPTS)
+    run_job(input_path, fused, n_shards=2)
     twop = str(tmp_path / "twop")
-    summary = run_job(input_path, twop, n_shards=2, opts=OPTS, two_phase=True)
+    summary = run_job(input_path, twop, n_shards=2, two_phase=True)
     assert summary["shards_ran"] == [0, 1]
     assert _read_all(twop) == _read_all(fused)
     assert os.path.isdir(os.path.join(twop, "detect", "part-00000"))
@@ -125,14 +122,14 @@ def test_resume_invalidates_changed_plan(input_path, tmp_path):
     """Manifests from a different --shards plan or config don't count as
     done: resume validates lineage + n_shards + config_sig and reruns."""
     out = str(tmp_path / "out")
-    run_job(input_path, out, n_shards=2, opts=OPTS)
+    run_job(input_path, out, n_shards=2)
     # same output dir, different shard count -> every old manifest invalid
-    summary = run_job(input_path, out, n_shards=3, opts=OPTS)
+    summary = run_job(input_path, out, n_shards=3)
     assert summary["shards_ran"] == [0, 1, 2]
     assert summary["shards_skipped"] == []
     assert summary["shards_invalidated"] == [0, 1]
     # rerun with the now-matching plan resumes cleanly
-    summary2 = run_job(input_path, out, n_shards=3, opts=OPTS)
+    summary2 = run_job(input_path, out, n_shards=3)
     assert summary2["shards_ran"] == []
     assert sorted(summary2["shards_skipped"]) == [0, 1, 2]
 
@@ -141,9 +138,9 @@ def test_resume_invalidates_changed_config(input_path, tmp_path):
     from ocr_platform_ray.kernels.extract import ExtractConfig
 
     out = str(tmp_path / "out")
-    run_job(input_path, out, n_shards=2, opts=OPTS)
+    run_job(input_path, out, n_shards=2)
     summary = run_job(
-        input_path, out, n_shards=2, opts=OPTS,
+        input_path, out, n_shards=2,
         cfg=ExtractConfig(max_side=600),
     )
     assert summary["shards_ran"] == [0, 1]          # config changed -> rerun
@@ -174,7 +171,7 @@ def test_shard_retry_backoff(input_path, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cp, "_retry_delay_s", spy_delay)
     out = str(tmp_path / "out")
-    summary = cp.run_job(input_path, out, n_shards=2, opts=OPTS, shard_retries=2)
+    summary = cp.run_job(input_path, out, n_shards=2, shard_retries=2)
     assert summary["shards_ran"] == [0, 1]
     # shard 1 failed once (its first call is global call #2), so exactly
     # one backoff delay was computed
@@ -186,7 +183,7 @@ def test_shard_retry_backoff(input_path, tmp_path, monkeypatch):
     monkeypatch.setattr(cp, "run_shard", always_fail)
     with pytest.raises(RuntimeError):
         cp.run_job(input_path, str(tmp_path / "out2"), n_shards=1,
-                   opts=OPTS, shard_retries=1)
+                   shard_retries=1)
 
 
 def test_manifest_surfaces_span_errors(tmp_path):
@@ -204,7 +201,7 @@ def test_manifest_surfaces_span_errors(tmp_path):
     path = str(tmp_path / "poison.parquet")
     pq.write_table(corpus.docs_to_table(docs), path)
     out = str(tmp_path / "out")
-    summary = run_job(path, out, n_shards=2, opts=OPTS)
+    summary = run_job(path, out, n_shards=2)
     assert summary["n_span_errors"] == 6
     assert sum(m["n_span_errors"] for m in load_manifests(out)) == 6
 
@@ -213,8 +210,8 @@ def test_no_resume_still_clears_stale_wider_plan(input_path, tmp_path):
     """resume=False must still remove out-of-range shards from a wider
     previous plan, or the summary double-counts and part-*/ has orphans."""
     out = str(tmp_path / "out")
-    run_job(input_path, out, n_shards=3, opts=OPTS)
-    summary = run_job(input_path, out, n_shards=2, opts=OPTS, resume=False)
+    run_job(input_path, out, n_shards=3)
+    summary = run_job(input_path, out, n_shards=2, resume=False)
     assert summary["shards_ran"] == [0, 1]
     assert summary["shards_invalidated"] == [2]
     assert summary["n_docs"] == N_DOCS          # no double count
@@ -232,17 +229,17 @@ def test_dedup_prepass_drops_duplicates(tmp_path):
     path = str(tmp_path / "docs.parquet")
     pq.write_table(corpus.docs_to_table(docs), path)
     out = str(tmp_path / "out")
-    summary = run_job(path, out, n_shards=2, opts=OPTS, dedup="exact")
+    summary = run_job(path, out, n_shards=2, dedup="exact")
     rows = _read_all(out)
     assert summary["n_docs"] == 12            # 14 input docs, 2 dropped
     assert docs[0]["doc_id"] in rows
     assert "zz-dup-1" not in rows and "zz-dup-2" not in rows
     assert os.path.isdir(os.path.join(out, "dedup"))
     # resume: nothing reruns, survivors reused
-    summary2 = run_job(path, out, n_shards=2, opts=OPTS, dedup="exact")
+    summary2 = run_job(path, out, n_shards=2, dedup="exact")
     assert summary2["shards_ran"] == []
     # changing dedup mode invalidates (config_sig covers it)
-    summary3 = run_job(path, out, n_shards=2, opts=OPTS, dedup="none")
+    summary3 = run_job(path, out, n_shards=2, dedup="none")
     assert summary3["shards_ran"] == [0, 1]
     assert _read_all(out).keys() >= {"zz-dup-1", "zz-dup-2"}
 
@@ -252,13 +249,13 @@ def test_two_phase_resume_after_recognize_crash(input_path, tmp_path):
     shard reruns wholesale on resume and the result equals a fresh run
     (the detect dir is overwritten, never half-trusted)."""
     fresh = str(tmp_path / "fresh")
-    run_job(input_path, fresh, n_shards=2, opts=OPTS, two_phase=True)
+    run_job(input_path, fresh, n_shards=2, two_phase=True)
     crashed = str(tmp_path / "crashed")
-    run_job(input_path, crashed, n_shards=2, opts=OPTS, two_phase=True)
+    run_job(input_path, crashed, n_shards=2, two_phase=True)
     # simulate dying after DETECT_DONE but before the output manifest
     os.remove(os.path.join(crashed, "manifest", "part-00001.json"))
     shutil.rmtree(os.path.join(crashed, "part-00001"))
-    summary = run_job(input_path, crashed, n_shards=2, opts=OPTS, two_phase=True)
+    summary = run_job(input_path, crashed, n_shards=2, two_phase=True)
     assert summary["shards_ran"] == [1]
     assert _read_all(crashed) == _read_all(fresh)
 
@@ -272,12 +269,12 @@ def test_dedup_survivors_invalidate_on_new_input(tmp_path):
     pq.write_table(corpus.docs_to_table(docs[:4]), d / "a.parquet")
     pq.write_table(corpus.docs_to_table(docs[4:]), d / "b.parquet")
     out = str(tmp_path / "out")
-    s1 = run_job(str(d), out, n_shards=2, opts=OPTS, dedup="exact")
+    s1 = run_job(str(d), out, n_shards=2, dedup="exact")
     assert s1["n_docs"] == 8
     # new input file appears; manifests invalidate AND survivors recompute
     more = corpus.generate_docs(12, seed=32)[8:]
     pq.write_table(corpus.docs_to_table(more), d / "c.parquet")
-    s2 = run_job(str(d), out, n_shards=2, opts=OPTS, dedup="exact")
+    s2 = run_job(str(d), out, n_shards=2, dedup="exact")
     assert s2["n_docs"] == 12          # the 4 new docs are NOT dropped
     rows = _read_all(out)
     assert all(m["doc_id"] in rows for m in more)
@@ -296,7 +293,7 @@ def test_all_flags_combined(tmp_path):
     rov = [{"doc_id": target, "spans_out": [
         {"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}]
     summary = run_job(
-        path, out, n_shards=2, opts=OPTS, two_phase=True,
+        path, out, n_shards=2, two_phase=True,
         dedup="exact", result_overrides=rov,
     )
     rows = _read_all(out)
@@ -306,7 +303,7 @@ def test_all_flags_combined(tmp_path):
     assert os.path.isdir(os.path.join(out, "detect", "part-00000"))
     assert os.path.isdir(os.path.join(out, "dedup"))
     # resume with identical flags: nothing reruns
-    s2 = run_job(path, out, n_shards=2, opts=OPTS, two_phase=True,
+    s2 = run_job(path, out, n_shards=2, two_phase=True,
                  dedup="exact", result_overrides=rov)
     assert s2["shards_ran"] == []
 
@@ -317,12 +314,12 @@ def test_invalidate_doc_ids_reruns_owning_shard_only(input_path, tmp_path):
     from ocr_platform_ray.rng import hash_str
 
     out = str(tmp_path / "out")
-    run_job(input_path, out, n_shards=N_SHARDS, opts=OPTS)
+    run_job(input_path, out, n_shards=N_SHARDS)
     before = _read_all(out)
     target = "doc-00000005"
     own = hash_str(target) % N_SHARDS
     summary = run_job(
-        input_path, out, n_shards=N_SHARDS, opts=OPTS,
+        input_path, out, n_shards=N_SHARDS,
         invalidate_doc_ids=[target],
     )
     assert summary["shards_ran"] == [own]
@@ -348,10 +345,10 @@ def test_invalidate_doc_ids_file_shards(tmp_path):
             in_dir / f"f{k}.parquet",
         )
     out = str(tmp_path / "out")
-    run_job(str(in_dir), out, n_shards=4, opts=OPTS)
+    run_job(str(in_dir), out, n_shards=4)
     target = docs[13]["doc_id"]  # lives in f2.parquet -> shard 2
     summary = run_job(
-        str(in_dir), out, n_shards=4, opts=OPTS, invalidate_doc_ids=[target]
+        str(in_dir), out, n_shards=4, invalidate_doc_ids=[target]
     )
     assert summary["shards_ran"] == [2]
     assert sorted(summary["shards_skipped"]) == [0, 1, 3]
@@ -359,9 +356,9 @@ def test_invalidate_doc_ids_file_shards(tmp_path):
 
 def test_invalidate_unknown_doc_is_noop(input_path, tmp_path):
     out = str(tmp_path / "out")
-    run_job(input_path, out, n_shards=N_SHARDS, opts=OPTS)
+    run_job(input_path, out, n_shards=N_SHARDS)
     summary = run_job(
-        input_path, out, n_shards=N_SHARDS, opts=OPTS,
+        input_path, out, n_shards=N_SHARDS,
         invalidate_doc_ids=[],
     )
     assert summary["shards_ran"] == []
@@ -378,7 +375,7 @@ def test_empty_shard_commits_zero_manifest(tmp_path):
     path = str(tmp_path / "docs.parquet")
     pq.write_table(tbl, path)
     out = str(tmp_path / "out")
-    summary = run_job(path, out, n_shards=2, opts=OPTS, tenant="t1")
+    summary = run_job(path, out, n_shards=2, tenant="t1")
     assert summary["shards_ran"] == [0, 1] and summary["n_docs"] == 0
     for m in load_manifests(out):
         assert (m["n_docs"], m["n_blocks"], m["doc_id_min"]) == (0, 0, "")

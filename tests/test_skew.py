@@ -1,14 +1,20 @@
-"""Skew handling: span-count bucketing (north_rule explicit requirement).
+"""Skew (north_rule explicit requirement): a heavy-tail doc extracts
+correctly on default options.
 
-A 200-image doc among 1-span docs must land in the heavy bucket (small
-batch size) and still extract correctly alongside the light bucket.
+Every span of a doc lives in its row and a stage batch holds a bounded
+number of docs, so a 60-image doc among 1-image docs is one row of one
+batch, on the fused path and on the two-phase path alike.
 """
 
 import ray.data as rd
 
 from ocr_platform_ray import corpus, media, oracle
 from ocr_platform_ray.kernels.extract import ExtractConfig
-from ocr_platform_ray.pipeline import PipelineOptions, _prepared, build_extract_pipeline
+from ocr_platform_ray.pipeline import (
+    build_detect_pipeline,
+    build_extract_pipeline,
+    build_recognize_pipeline,
+)
 
 
 def _heavy_tail_docs():
@@ -43,52 +49,30 @@ def _heavy_tail_docs():
     return docs
 
 
-def test_bucket_split_boundary():
-    docs = _heavy_tail_docs()
-    ds = _prepared(rd.from_arrow(corpus.docs_to_table(docs)))
-    opts = PipelineOptions()
-    heavy = ds.filter(expr=f"n_image_spans >= {opts.heavy_threshold}")
-    light = ds.filter(expr=f"n_image_spans < {opts.heavy_threshold}")
-    heavy_ids = [r["doc_id"] for r in heavy.select_columns(["doc_id"]).take_all()]
-    assert heavy_ids == ["doc-heavy"]
-    assert light.count() == 40
+def _spans_by_doc(ds) -> dict:
+    got = {}
+    for batch in ds.iter_batches(batch_size=64, batch_format="pyarrow"):
+        for row in batch.to_pylist():
+            got[row["doc_id"]] = [
+                (s["kind"], s["text"], s["media_ref"], s["offset"])
+                for s in row["spans_out"]
+            ]
+    return got
 
 
 def test_heavy_tail_extracts_correctly():
     docs = _heavy_tail_docs()
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
-    ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(
-        ds, opts=PipelineOptions(concurrency=2, heavy_batch_size=1)
-    )
-    got = {}
-    for batch in out.iter_batches(batch_size=64, batch_format="pyarrow"):
-        for row in batch.to_pylist():
-            got[row["doc_id"]] = [
-                (s["kind"], s["text"], s["media_ref"], s["offset"])
-                for s in row["spans_out"]
-            ]
+    got = _spans_by_doc(build_extract_pipeline(rd.from_arrow(corpus.docs_to_table(docs))))
     assert got == expected
     assert len(got["doc-heavy"]) == 60  # one block per single-line image
 
 
-def test_bucketed_mode_matches_uniform():
-    """Opt-in skew_mode='bucketed' (materialized boundary + per-bucket
-    batch sizes) produces exactly the uniform-mode output."""
+def test_heavy_tail_two_phase_extracts_correctly(tmp_path):
     docs = _heavy_tail_docs()
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
-    ds = rd.from_arrow(corpus.docs_to_table(docs))
-    out = build_extract_pipeline(
-        ds,
-        opts=PipelineOptions(
-            skew_mode="bucketed", concurrency=4, heavy_batch_size=1
-        ),
-    )
-    got = {}
-    for batch in out.iter_batches(batch_size=64, batch_format="pyarrow"):
-        for row in batch.to_pylist():
-            got[row["doc_id"]] = [
-                (s["kind"], s["text"], s["media_ref"], s["offset"])
-                for s in row["spans_out"]
-            ]
+    ckpt = str(tmp_path / "detect")
+    build_detect_pipeline(rd.from_arrow(corpus.docs_to_table(docs))).write_parquet(ckpt)
+    got = _spans_by_doc(build_recognize_pipeline(rd.read_parquet(ckpt)))
     assert got == expected
+    assert len(got["doc-heavy"]) == 60

@@ -12,7 +12,7 @@ import ray.data as rd
 
 from ocr_platform_ray import corpus, oracle, pipeline
 from ocr_platform_ray.kernels.extract import ExtractConfig
-from ocr_platform_ray.pipeline import PipelineOptions, build_extract_pipeline
+from ocr_platform_ray.pipeline import build_extract_pipeline
 from ocr_platform_ray.sources import read_corpus_jsonl, write_corpus_jsonl
 
 
@@ -22,7 +22,7 @@ def test_jsonl_equals_parquet_pipeline(tmp_path):
     write_corpus_jsonl(docs, str(jl))
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
     ds = read_corpus_jsonl(str(jl))
-    out = build_extract_pipeline(ds, opts=PipelineOptions(concurrency=2))
+    out = build_extract_pipeline(ds)
     got = {}
     for b in out.iter_batches(batch_size=64, batch_format="pyarrow"):
         for r in b.to_pylist():

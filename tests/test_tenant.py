@@ -14,13 +14,10 @@ import ray.data as rd
 from ocr_platform_ray import corpus
 from ocr_platform_ray.checkpoint import load_manifests, run_job
 from ocr_platform_ray.pipeline import (
-    PipelineOptions,
     build_extract_pipeline,
     corpus_from_documents,
     scope_tenant,
 )
-
-OPTS = PipelineOptions(concurrency=2)
 
 
 def _tenant_docs(n=24, seed=5):
@@ -34,7 +31,7 @@ def _tenant_docs(n=24, seed=5):
 
 def test_tenant_passthrough_and_scoped_equals_filtered():
     tbl = _tenant_docs()
-    full = build_extract_pipeline(rd.from_arrow(tbl), opts=OPTS).to_pandas()
+    full = build_extract_pipeline(rd.from_arrow(tbl)).to_pandas()
     assert "tenant_id" in full.columns
     # tenant survives extraction row-aligned with its doc
     want = dict(
@@ -42,7 +39,7 @@ def test_tenant_passthrough_and_scoped_equals_filtered():
     )
     assert dict(zip(full["doc_id"], full["tenant_id"])) == want
     scoped = build_extract_pipeline(
-        scope_tenant(rd.from_arrow(tbl), "t1"), opts=OPTS
+        scope_tenant(rd.from_arrow(tbl), "t1")
     ).to_pandas()
     assert set(scoped["tenant_id"]) == {"t1"}
     key = lambda df: df.sort_values("doc_id").reset_index(drop=True)
@@ -50,6 +47,22 @@ def test_tenant_passthrough_and_scoped_equals_filtered():
     scoped = key(scoped)
     assert scoped["doc_id"].tolist() == filtered["doc_id"].tolist()
     assert scoped["n_spans_out"].tolist() == filtered["n_spans_out"].tolist()
+
+
+def test_scope_tenant_compares_the_id_as_a_value():
+    """A tenant id is compared as a value, never pasted into an
+    expression: an id that reads like a filter clause, or one with a
+    quote in it, selects exactly its own rows."""
+    ids = ["t0", "t0' or tenant_id != '", "o'brien"]
+    tbl = pa.table({
+        "doc_id": [f"d{i}" for i in range(3 * len(ids))],
+        "tenant_id": ids * 3,
+    })
+    for tid in ids:
+        got = scope_tenant(rd.from_arrow(tbl), tid).take_all()
+        want = [d for d, t in zip(tbl["doc_id"].to_pylist(), ids * 3) if t == tid]
+        assert sorted(r["doc_id"] for r in got) == want
+        assert {r["tenant_id"] for r in got} == {tid}
 
 
 def test_corpus_from_documents_carries_tenant():
@@ -64,7 +77,7 @@ def test_manifest_counts_docs_per_tenant(tmp_path):
     tbl = _tenant_docs()
     pq.write_table(tbl, in_path)
     out = str(tmp_path / "out")
-    run_job(str(in_path), out, n_shards=2, opts=OPTS)
+    run_job(str(in_path), out, n_shards=2)
     ms = load_manifests(out)
     merged = {}
     for m in ms:
@@ -80,7 +93,7 @@ def test_no_tenant_column_manifest_empty(tmp_path):
     in_path = tmp_path / "docs.parquet"
     pq.write_table(corpus.generate_corpus_table(10, seed=2), in_path)
     out = str(tmp_path / "out")
-    run_job(str(in_path), out, n_shards=1, opts=OPTS)
+    run_job(str(in_path), out, n_shards=1)
     (m,) = load_manifests(out)
     assert m["n_docs_by_tenant"] == {}
 
@@ -93,7 +106,7 @@ def test_job_tenant_scope_and_resume_invalidation(tmp_path, ray_session):
     inp = os.path.join(str(tmp_path), "docs.parquet")
     out = os.path.join(str(tmp_path), "out")
     pq.write_table(_tenant_docs(18, seed=7), inp)
-    s1 = run_job(inp, out, n_shards=2, opts=OPTS, tenant="t1")
+    s1 = run_job(inp, out, n_shards=2, tenant="t1")
     assert s1["shards_ran"] == [0, 1]
     got = pq.read_table(
         os.path.join(out, "part-00000")
@@ -102,10 +115,10 @@ def test_job_tenant_scope_and_resume_invalidation(tmp_path, ray_session):
     ).column("tenant_id").to_pylist()
     assert set(got) == {"t1"} and len(got) == 6  # 18 docs / 3 tenants
     # same tenant resumes
-    s2 = run_job(inp, out, n_shards=2, opts=OPTS, tenant="t1")
+    s2 = run_job(inp, out, n_shards=2, tenant="t1")
     assert s2["shards_ran"] == [] and s2["shards_skipped"] == [0, 1]
     # different tenant invalidates + reruns
-    s3 = run_job(inp, out, n_shards=2, opts=OPTS, tenant="t2")
+    s3 = run_job(inp, out, n_shards=2, tenant="t2")
     assert sorted(s3["shards_invalidated"]) == [0, 1]
     assert s3["shards_ran"] == [0, 1]
     got3 = pq.read_table(

@@ -4,7 +4,8 @@ value hash against oracle_sql() via DuckDB. A query with no oracle must
 pass the row rule of its record in ``queries.REGISTRY``. Every output
 must also be free of the dtypes in :func:`dtype_flags`. Each query's
 name goes to stderr before it runs, so a crash of the whole process
-names its query.
+names its query. The Ray session restarts every ``RECYCLE_EVERY``
+queries, as bench.py's does, so no session runs the whole sweep.
 Usage:
 
     python tools/check_correctness.py [sf_dir] [query ...]
@@ -17,6 +18,8 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+RECYCLE_EVERY = 25  # queries per Ray session (bench.py's default)
 
 
 def to_pandas(res):
@@ -84,6 +87,20 @@ def check_rows(rule, got, sf_dir: str, con) -> tuple[bool, int | None]:
     return rule is not None and len(got) == rule, rule
 
 
+def _init_ray() -> None:
+    import ray
+    from ray.data import DataContext
+
+    ray.init(
+        address="local",
+        num_cpus=8,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+    )
+    DataContext.get_current().enable_progress_bars = False
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -92,21 +109,10 @@ def main():
 
     import ray
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=8,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    from ray.data import DataContext
-
     from ocr_platform_ray.raylog import suppress_empty_sort_schema_warning
 
+    _init_ray()
     suppress_empty_sort_schema_warning()
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
 
     import __ray_entry__ as entrymod
     from ocr_platform_ray.queries import REGISTRY
@@ -125,6 +131,9 @@ def main():
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        if results and len(results) % RECYCLE_EVERY == 0:
+            ray.shutdown()
+            _init_ray()
         print(f"running {name}", file=sys.stderr, flush=True)
         try:
             got = to_pandas(fn(sf_dir))
