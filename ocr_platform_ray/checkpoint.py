@@ -53,6 +53,8 @@ class ShardPlan:
 
 
 def plan_shards(input_path: str, n_shards: int) -> list[ShardPlan]:
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be at least 1, got {n_shards}")
     if os.path.isdir(input_path):
         files = sorted(
             os.path.join(input_path, f)
@@ -71,9 +73,10 @@ def plan_shards(input_path: str, n_shards: int) -> list[ShardPlan]:
 
 
 def _shard_dataset(plan: ShardPlan) -> rd.Dataset:
+    remote_args = PipelineOptions().remote_args()
     if plan.files:
-        return rd.read_parquet(plan.files)
-    ds = rd.read_parquet(plan.input_path)
+        return rd.read_parquet(plan.files, ray_remote_args=remote_args)
+    ds = rd.read_parquet(plan.input_path, ray_remote_args=remote_args)
     i, n = plan.hash_mod
 
     def pick(batch: pa.Table) -> pa.Table:
@@ -230,6 +233,11 @@ def run_shard(
     ``result_overrides`` (PATCH result analogue) replaces whole extracted
     span sequences at merge, after either path."""
     t0 = time.perf_counter()
+    # the reads and writes take the stage's remote args, so each phase is
+    # one operator from the read to the write, one task per input block.
+    # A fresh dict per call: a read adds its scheduling strategy to the
+    # dict it is given, which would then keep a write from fusing.
+    opts = PipelineOptions()
     sid = plan.shard_id
     part_dir = os.path.join(out_dir, f"part-{sid:05d}")
     tmp_dir = os.path.join(out_dir, f".tmp-part-{sid:05d}")
@@ -260,7 +268,7 @@ def run_shard(
         os.makedirs(det_tmp, exist_ok=True)
         t_det = time.perf_counter()
         det = build_detect_pipeline(ds, cfg=cfg)
-        det.write_parquet(det_tmp)
+        det.write_parquet(det_tmp, ray_remote_args=opts.remote_args())
         stage_times["detect_s"] = round(time.perf_counter() - t_det, 4)
         if os.environ.get("GRAFT_STATS"):
             print(
@@ -269,16 +277,16 @@ def run_shard(
             )
         shutil.rmtree(det_dir, ignore_errors=True)
         os.replace(det_tmp, det_dir)  # DETECT_DONE boundary committed
-        detected = rd.read_parquet(det_dir)
+        detected = rd.read_parquet(det_dir, ray_remote_args=opts.remote_args())
         t_rec = time.perf_counter()
         out = build_recognize_pipeline(detected, cfg=cfg, overrides=overrides)
         out = apply_result_overrides(out, result_overrides)
-        out.write_parquet(tmp_dir)
+        out.write_parquet(tmp_dir, ray_remote_args=opts.remote_args())
         stage_times["recognize_s"] = round(time.perf_counter() - t_rec, 4)
     else:
         out = build_extract_pipeline(ds, cfg=cfg, overrides=overrides)
         out = apply_result_overrides(out, result_overrides)
-        out.write_parquet(tmp_dir)
+        out.write_parquet(tmp_dir, ray_remote_args=opts.remote_args())
     if os.environ.get("GRAFT_STATS"):
         # per-stage wall/cpu breakdown (reference's per-stage INFO timing
         # analogue, orchestrator.py:38-72) — stderr so the one-line JSON
@@ -398,8 +406,8 @@ def run_job(
     ``out_dir/dedup/`` (atomic, reused on resume), and every shard drops
     non-survivors before extraction — the training-data composition
     read -> dedup -> extract."""
-    os.makedirs(out_dir, exist_ok=True)
     plans = plan_shards(input_path, n_shards)
+    os.makedirs(out_dir, exist_ok=True)
     sig = config_sig(cfg, overrides, two_phase, result_overrides, dedup, tenant)
 
     survivors_ref = None

@@ -47,6 +47,13 @@ def main(argv: list[str] | None = None) -> int:
                    help="DataContext.target_max_block_size for wide binary rows")
     args = p.parse_args(argv)
 
+    from .checkpoint import plan_shards
+
+    try:
+        plan_shards(args.input, args.shards)  # reject a bad --shards before a session starts
+    except ValueError as e:
+        p.error(str(e))
+
     import ray
 
     if not ray.is_initialized():

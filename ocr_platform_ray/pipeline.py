@@ -5,14 +5,15 @@ Physical design (SURVEY §4, §7.4):
   row, so normalize / detect / recognize / merge are all row-local;
 - skew (north_rule): one mechanism, sized once at ingest. The bench
   corpus's read splits into 2 x CPU blocks (below), so every CPU has
-  stage tasks at any CPU count, and each stage batch is a bounded 32 docs
-  (``uniform_batch_size``). Every span of a doc lives in its row, so no
-  doc is ever split across batches and nothing re-shuffles rows by
-  cost. On the bench corpus (sf0.1: image spans per doc mean 3, p99 35,
-  max 40) a 32-doc batch's cost varies little. A span-count bucket split
-  over a materialized boundary used to be selectable; it measured +4 s at
-  sf0.1 and was slower at every point of a heavy-tail grid
-  (BENCH/BASELINE.md), so it is gone;
+  stage tasks at any CPU count; the stage maps over whole blocks and
+  walks each in bounded 32-doc kernel batches (``uniform_batch_size``).
+  Every span of a doc lives in its row, so no doc is ever split across
+  batches and nothing re-shuffles rows by cost. On the bench corpus
+  (sf0.1: image spans per doc mean 3, p99 35, max 40) a 32-doc batch's
+  cost varies little. A span-count bucket split over a materialized
+  boundary used to be selectable; it measured +4 s at sf0.1 and was
+  slower at every point of a heavy-tail grid (BENCH/BASELINE.md), so it
+  is gone;
 - one stage class, ``ExtractStage``, runs every extraction Dataset: the
   fused run (recognize on), the two-phase detect phase (recognize off; it
   writes the ``detect`` checkpoint column) and the recognize phase
@@ -23,11 +24,14 @@ Physical design (SURVEY §4, §7.4):
   starts per Dataset (a two-phase job executes one per shard and phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
-- every map on the extraction path (the job's shard pick, tenant scope
-  and dedup-survivor filter, normalize, the stage, the result overrides)
-  takes the same remote args, ``PipelineOptions().task_kwargs()``, so Ray
-  Data fuses them into the stage's operator: any map with different args
-  would start an operator of its own;
+- every task on the extraction path (the reads, the job's shard pick,
+  tenant scope and dedup-survivor filter, normalize, the stage, the
+  result overrides and the job's writes) takes the same remote args,
+  ``PipelineOptions().remote_args()``, and the stage sets no batch size,
+  so Ray Data fuses a checkpoint phase into one operator from the read
+  to the write, one task per input block: an operator with different
+  args, or a map with a batch size after a read, would start an operator
+  of its own;
 - extraction Datasets run without Ray Data's per-operator resource
   reservation (``_stage_map``). The reservation allocator holds at least
   one task's CPU for every operator, so on a 2-CPU session a light
@@ -37,7 +41,9 @@ Physical design (SURVEY §4, §7.4):
 - the bench corpus splits at the read (``override_num_blocks`` = 2 x CPU),
   not through a repartition barrier, so ``to_spans`` fuses into the
   stage's operator (to_spans -> prepare -> stage is one operator) and the
-  stage sees up to 2 x CPU tasks at any CPU count.
+  stage sees up to 2 x CPU tasks at any CPU count. Ray Data never fuses
+  a split read (``ReadParquet->SplitBlocks``) into the map after it, so
+  that read stays an operator of its own.
 """
 
 from __future__ import annotations
@@ -53,31 +59,33 @@ import ray.data as rd
 
 from .corpus import spans_from_document
 from .kernels.extract import ExtractConfig
-from .stages.extract import ExtractStage
+from .stages.extract import BATCH_DOCS, ExtractStage
 from .stages.normalize import normalize_spans_batch
 
 
 @dataclass
 class PipelineOptions:
-    """The extraction path's two settings: the stage batch size and the
-    retry budget of every map."""
+    """The extraction path's two settings: the docs per kernel batch inside
+    a stage call and the retry budget of every task."""
 
-    uniform_batch_size: int = 32    # docs per stage batch (measured best of 8/16/32/64 at sf0.1)
+    uniform_batch_size: int = BATCH_DOCS
     # retry budget (reference: Celery autoretry <=3/<=2, ocr_tasks.py:58-65;
     # here: per-task retries of a crashed worker, lineage re-executes
     # blocks). Ray Data's task default retries forever, so a poison row
     # that kills its worker would loop.
     max_task_retries: int = 3
 
+    def remote_args(self) -> dict:
+        """Ray remote args of every task on the extraction path: the reads,
+        the maps and the job's writes. Ray Data fuses two operators only
+        when their args match, so one set makes a checkpoint phase's read,
+        maps and write one operator."""
+        return {"num_cpus": 1, "max_retries": self.max_task_retries}
+
     def task_kwargs(self) -> dict:
         """``map_batches`` arguments of every map on the extraction path,
-        the stage's included: one set of remote args, so Ray Data fuses
-        the maps into one operator."""
-        return {
-            "batch_format": "pyarrow",
-            "num_cpus": 1,
-            "max_retries": self.max_task_retries,
-        }
+        the stage's included."""
+        return {"batch_format": "pyarrow", **self.remote_args()}
 
 
 def read_corpus(path: str, **kwargs) -> rd.Dataset:
@@ -90,7 +98,7 @@ def read_corpus(path: str, **kwargs) -> rd.Dataset:
     except ImportError:
         from .sources import read_parquet_clean
 
-        return read_parquet_clean(path, map_kwargs=PipelineOptions().task_kwargs(), **kwargs)
+        return read_parquet_clean(path, remote_args=PipelineOptions().remote_args(), **kwargs)
     return rd.read_lance(path, **kwargs)
 
 
@@ -159,10 +167,15 @@ def _prepared(ds: rd.Dataset, opts: PipelineOptions) -> rd.Dataset:
 
 
 def _stage_map(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
-    """``stage`` (a callable stage instance) as one task map over bounded
-    ``uniform_batch_size``-doc batches. It takes ``task_kwargs`` like every
-    other map on the path, so the maps before it fuse into its operator and
-    no pool starts per Dataset.
+    """``stage`` (a callable stage instance) as one task map over whole
+    blocks; the stage bounds its own kernel batches (``ExtractStage``
+    walks a block ``uniform_batch_size`` docs at a time). It takes
+    ``task_kwargs`` like every other map on the path and sets no batch
+    size, so the read and the maps before it and the write after it fuse
+    into its operator, one task per input block, and no pool starts per
+    Dataset. The trade-off: a block under ``uniform_batch_size`` docs is
+    one task of its own, never bundled with the next block, so an input
+    of many tiny files makes many small tasks.
 
     The Dataset runs without Ray Data's per-operator resource reservation,
     which holds at least one task's CPU for every operator: a light map
@@ -173,7 +186,7 @@ def _stage_map(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
     downstream map must not take the stage's slot), and never touches
     ``DataContext.get_current()``."""
     ds.context.op_resource_reservation_enabled = False
-    return ds.map_batches(stage, batch_size=opts.uniform_batch_size, **opts.task_kwargs())
+    return ds.map_batches(stage, batch_size=None, **opts.task_kwargs())
 
 
 def build_extract_pipeline(
@@ -188,7 +201,8 @@ def build_extract_pipeline(
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _stage_map(_prepared(ds, opts), ExtractStage(cfg, ov_ref), opts)
+    stage = ExtractStage(cfg, ov_ref, batch_size=opts.uniform_batch_size)
+    return _stage_map(_prepared(ds, opts), stage, opts)
 
 
 def apply_result_overrides(
@@ -287,7 +301,8 @@ def build_detect_pipeline(
     ``detect`` column. Checkpoint this to parquet."""
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
-    return _stage_map(_prepared(ds, opts), ExtractStage(cfg, recognize=False), opts)
+    stage = ExtractStage(cfg, recognize=False, batch_size=opts.uniform_batch_size)
+    return _stage_map(_prepared(ds, opts), stage, opts)
 
 
 def build_recognize_pipeline(
@@ -304,4 +319,5 @@ def build_recognize_pipeline(
     cfg = cfg or ExtractConfig()
     opts = opts or PipelineOptions()
     ov_ref = ray.put(overrides) if overrides else None
-    return _stage_map(detected, ExtractStage(cfg, ov_ref), opts)
+    stage = ExtractStage(cfg, ov_ref, batch_size=opts.uniform_batch_size)
+    return _stage_map(detected, stage, opts)

@@ -23,7 +23,7 @@ def _strip_schema_metadata(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def read_parquet_clean(*args, map_kwargs: dict | None = None, **kwargs) -> rd.Dataset:
+def read_parquet_clean(*args, remote_args: dict | None = None, **kwargs) -> rd.Dataset:
     """``read_parquet`` + a zero-copy schema-metadata strip. Pandas-written
     parquet (the test tables) carries a ``{b'pandas': ...}`` schema-
     metadata dict; ``hash(pa.Schema)`` raises TypeError on dict metadata,
@@ -34,14 +34,15 @@ def read_parquet_clean(*args, map_kwargs: dict | None = None, **kwargs) -> rd.Da
     and the early exit hot. Plan topology and scan pruning (columns=/
     filter=) are unchanged.
 
-    The strip's ``map_batches`` takes ``map_kwargs`` as its remote args
-    (default: Ray's). Ray Data fuses two maps only when their remote
+    The read and the strip take ``remote_args`` as their Ray remote args
+    (default: Ray's). Ray Data fuses two operators only when their remote
     args match, so a caller whose next map sets its own args (the
-    flagship's ``PipelineOptions().task_kwargs()``) passes them here to
-    keep the strip inside that map's operator."""
-    kw = {"batch_format": "pyarrow", **(map_kwargs or {})}
-    return rd.read_parquet(*args, **kwargs).map_batches(
-        _strip_schema_metadata, zero_copy_batch=True, **kw
+    extraction path's ``PipelineOptions().remote_args()``) passes them
+    here to keep the read and the strip inside that map's operator."""
+    remote_args = remote_args or {}
+    # a copy: the read adds its scheduling strategy to the dict it is given
+    return rd.read_parquet(*args, ray_remote_args=dict(remote_args), **kwargs).map_batches(
+        _strip_schema_metadata, zero_copy_batch=True, batch_format="pyarrow", **remote_args
     )
 
 

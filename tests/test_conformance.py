@@ -101,7 +101,7 @@ def test_override_table_resolved_once_per_process(docs):
 
     ov = corpus.generate_overrides(docs, seed=7)
     stage = stages.ExtractStage(ExtractConfig(), ray.put(ov))
-    assert vars(stage).keys() == {"cfg", "overrides_ref", "recognize"}
+    assert vars(stage).keys() == {"cfg", "overrides_ref", "recognize", "batch_size"}
     stages._override_lookup.cache_clear()
     batch = corpus.docs_to_table(docs[:8])
     assert stage(batch) == stage(batch)
@@ -306,6 +306,60 @@ def test_stage_batch_parity_mixed(detect_max_side):
         }
         _assert_equal(got, want)
         assert {r["doc_id"]: r["n_span_errors"] for r in rows} == want_err
+
+
+@pytest.fixture(scope="module")
+def stage_blocks(docs):
+    """75 normalized docs and the same rows after the detect phase: the
+    inputs of the three stage runs (fused, detect, recognize)."""
+    from ocr_platform_ray.stages.extract import ExtractStage
+    from ocr_platform_ray.stages.normalize import normalize_spans_batch
+
+    raw = normalize_spans_batch(corpus.docs_to_table(docs[:75]))
+    detected = pa.concat_tables(
+        [ExtractStage(recognize=False)(raw.slice(i, 25)) for i in range(0, 75, 25)]
+    )
+    return {"fused": raw, "detect": raw, "recognize": detected}
+
+
+@pytest.mark.parametrize("phase", ["fused", "detect", "recognize"])
+@pytest.mark.parametrize("n_rows", [0, 1, 32, 33, 75])
+def test_stage_walks_a_block_in_bounded_batches(stage_blocks, monkeypatch, phase, n_rows):
+    """The stage maps over whole blocks and walks each in
+    ``uniform_batch_size``-doc slices: its output on a block equals one
+    call per 32-row slice, concatenated (an empty block keeps the output
+    schema), and no kernel batch holds more than 32 docs."""
+    from ocr_platform_ray.pipeline import PipelineOptions
+    from ocr_platform_ray.stages import extract as stages
+
+    bs = PipelineOptions().uniform_batch_size
+    assert bs == 32
+    stage = stages.ExtractStage(recognize=phase != "detect", batch_size=bs)
+    block = stage_blocks[phase].slice(0, n_rows)
+    want = [stage(block.slice(i, bs)) for i in range(0, n_rows, bs)]
+
+    docs_per_call = []
+    rows_seen = []
+    spans_flat, extract_batch = stages._spans_flat, stages.extract_batch
+
+    def spy_spans_flat(batch):
+        rows_seen.append(batch.num_rows)
+        return spans_flat(batch)
+
+    def spy_extract_batch(*args, **kwargs):
+        docs_per_call.append(rows_seen[-1])
+        return extract_batch(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "_spans_flat", spy_spans_flat)
+    monkeypatch.setattr(stages, "extract_batch", spy_extract_batch)
+    got = stage(block)
+
+    assert docs_per_call == [min(bs, n_rows - i) for i in range(0, max(n_rows, 1), bs)]
+    assert got.num_rows == n_rows
+    if n_rows:
+        assert got == pa.concat_tables(want)
+    else:
+        assert got.schema == stage(stage_blocks[phase].slice(0, 1)).schema
 
 
 def test_count_spans_batch_counts_image_spans(docs):

@@ -46,3 +46,31 @@ def test_task_crash_is_retried(tmp_path):
     vals = sorted(r["x"] for r in out.take_all())
     assert vals == list(range(100))        # nothing lost despite the crash
     assert os.path.exists(flag)            # the crash really happened
+
+
+def test_crash_in_fused_write_leaves_each_row_once(tmp_path):
+    """A stage that crashes once inside a read -> stage -> write task (the
+    write takes the stage's remote args, so it runs in the stage's task):
+    the retried task rewrites its block, and every row lands in the output
+    directory exactly once."""
+    import pyarrow.parquet as pq
+
+    from ocr_platform_ray.pipeline import PipelineOptions
+
+    opts = PipelineOptions()
+    src = tmp_path / "in"
+    src.mkdir()
+    for k in range(2):
+        pq.write_table(pa.table({"x": list(range(50 * k, 50 * k + 50))}),
+                       src / f"part-{k}.parquet")
+    flag = str(tmp_path / "crashed")
+    out_dir = tmp_path / "out"
+    ds = rd.read_parquet(str(src), ray_remote_args=opts.remote_args()).map_batches(
+        CrashOnce(flag), batch_size=None, **opts.task_kwargs()
+    )
+    ds.write_parquet(str(out_dir), ray_remote_args=opts.remote_args())
+    assert os.path.exists(flag)            # the crash really happened
+    # the write ran in the stage's task
+    assert "MapBatches(CrashOnce)->Write" in ds.stats(), ds.stats()
+    vals = sorted(pq.read_table(str(out_dir)).column("x").to_pylist())
+    assert vals == list(range(100))        # each row exactly once

@@ -8,8 +8,9 @@ the reservation off on their own ``DataContext`` copy; these tests pin
 that two stage tasks overlap under a consumer map, that the global
 context is left alone, and that ``corpus_from_documents`` splits at the
 read (no Repartition) so the read's metadata strip and ``to_spans``
-fuse into the stage's operator, and that the maps a checkpointed job adds
-before the stage fuse into it too.
+fuse into the stage's operator, that the maps a checkpointed job adds
+before the stage fuse into it too, and that each phase of a job's shard
+of many files is one operator from the read to the write.
 
 Everything runs in one child process with its own
 ``ray.init(num_cpus=2)``, under a timeout that kills the child's whole
@@ -95,8 +96,8 @@ try:
     print("global_unchanged", before == after)
 
     # 3. flagship plan shape and rows, replicate=2; 160 docs read as
-    # 2 x NCPU blocks of 40 rows, each above the stage's 32-row bundle
-    # target, so every read block is one stage task
+    # 2 x NCPU blocks of 40 rows, and the stage maps whole blocks, so
+    # every read block is one stage task
     n = 160
     texts = [" ".join(f"w{(d * 7 + i) % 53}" for i in range(8 + d % 37))
              for d in range(n)]
@@ -131,20 +132,42 @@ try:
     shard_path = os.path.join(work, "shard.parquet")
     pq.write_table(shard, shard_path)
     built = []
-    build_detect = checkpoint.build_detect_pipeline
 
-    def capture(*args, **kwargs):
-        built.append(build_detect(*args, **kwargs))
-        return built[-1]
+    def capture(build):
+        def wrapped(*args, **kwargs):
+            built.append((build.__name__, build(*args, **kwargs)))
+            return built[-1][1]
+        return wrapped
 
-    checkpoint.build_detect_pipeline = capture
+    for name in ("build_detect_pipeline", "build_recognize_pipeline",
+                 "build_extract_pipeline"):
+        setattr(checkpoint, name, capture(getattr(checkpoint, name)))
+
+    def print_ops(tag):
+        for name, ds in built:
+            for line in ds.stats().splitlines():
+                if line.startswith("Operator"):
+                    print(tag, name, line)
+        built.clear()
+
     checkpoint.run_shard(
         checkpoint.ShardPlan(0, hash_mod=(0, 2), input_path=shard_path),
         os.path.join(work, "job"), two_phase=True, tenant="t0",
         survivors_ref=ray.put(set(shard["doc_id"].to_pylist()[::3])))
-    for line in built[0].stats().splitlines():
-        if line.startswith("Operator"):
-            print("detect_op", line)
+    print_ops("hash_op")
+
+    # 5. a shard of 2 x NCPU files, two-phase and fused: the reads and
+    # writes take the stage's remote args and the stage sets no batch
+    # size, so each phase is one operator, one task per file
+    files = []
+    for k in range(2 * NCPU):
+        files.append(os.path.join(work, f"part-{k}.parquet"))
+        pq.write_table(shard.slice(10 * k, 10), files[-1])
+    for two_phase in (True, False):
+        checkpoint.run_shard(
+            checkpoint.ShardPlan(0, files=files),
+            os.path.join(work, f"job-files-{two_phase}"), two_phase=two_phase)
+    print_ops("files_op")
 finally:
     ray.shutdown()
 """
@@ -215,12 +238,44 @@ def test_no_operator_between_read_and_stage(child_out):
     _assert_read_then_stage(ops)
 
 
+def _phase_ops(out: str, tag: str) -> dict:
+    """{build function name: [its Dataset's operator lines, ...] per run}."""
+    got: dict = {}
+    for ln in out.splitlines():
+        if ln.startswith(tag + " "):
+            _, name, op = ln.split(" ", 2)
+            if op.startswith("Operator 1 "):
+                got.setdefault(name, []).append([])
+            got[name][-1].append(op)
+    return got
+
+
 def test_job_detect_phase_is_read_then_stage(child_out):
     """The shard pick, tenant scope and dedup-survivor filter the job adds
     before the stage carry the stage's remote args: the detect phase of a
-    scoped, hash-mod shard is ``ReadParquet`` then the stage's operator."""
+    scoped, hash-mod shard is its single-file read, split into blocks
+    (Ray Data never fuses a split read), then the stage's operator."""
     out, err = child_out
-    ops = [ln[len("detect_op "):] for ln in out.splitlines()
-           if ln.startswith("detect_op ")]
-    assert ops, out or err
-    _assert_read_then_stage(ops)
+    ops = _phase_ops(out, "hash_op").get("build_detect_pipeline")
+    assert ops and len(ops) == 1, out or err
+    assert re.match(r"Operator 1 ReadParquet->SplitBlocks", ops[0][0]), ops
+    _assert_read_then_stage(ops[0])
+
+
+def test_job_phases_are_one_operator(child_out):
+    """On a shard of 2 x CPU files, the detect and recognize phases of a
+    two-phase run and the one phase of a fused run are each exactly one
+    operator, ``ReadParquet->...->MapBatches(ExtractStage)->Write``, with
+    one task per file."""
+    out, err = child_out
+    phases = _phase_ops(out, "files_op")
+    assert sorted(phases) == [
+        "build_detect_pipeline", "build_extract_pipeline", "build_recognize_pipeline",
+    ], out or err
+    for name, runs in phases.items():
+        assert len(runs) == 1, (name, runs)
+        assert len(runs[0]) == 1, (name, runs)
+        assert re.match(
+            r"Operator 1 ReadParquet->(.*->)?MapBatches\(ExtractStage\)->Write: "
+            r"4 tasks executed", runs[0][0]
+        ), (name, runs)

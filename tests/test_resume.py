@@ -104,6 +104,30 @@ def test_file_group_sharding(tmp_path):
     assert all(p.files for p in plans)
 
 
+@pytest.mark.parametrize("n_shards", [0, -1])
+def test_shard_count_below_one_is_rejected(input_path, tmp_path, capsys, n_shards):
+    """A shard count below 1 raises a ValueError naming it, for a
+    directory and a single-file input alike; the job CLI exits non-zero
+    with that message before it starts a session, and writes nothing."""
+    from ocr_platform_ray import job
+
+    d = tmp_path / "many"
+    d.mkdir()
+    pq.write_table(corpus.generate_corpus_table(4, seed=3), d / "f0.parquet")
+    for path in (str(d), input_path):
+        with pytest.raises(ValueError, match=f"got {n_shards}$"):
+            plan_shards(path, n_shards)
+        with pytest.raises(ValueError, match=f"got {n_shards}$"):
+            run_job(path, str(tmp_path / "out"), n_shards=n_shards)
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit) as exit_info:
+            job.main(["--input", path, "--output", str(tmp_path / "out"),
+                      "--shards", str(n_shards)])
+        assert exit_info.value.code != 0
+        assert f"n_shards must be at least 1, got {n_shards}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_two_phase_job_equals_fused(input_path, tmp_path):
     """--two-phase (persisted detect checkpoint + recognize) produces the
     same output as the fused job, and commits the detect intermediate."""
