@@ -12,9 +12,21 @@ partial write can never look finished. Resume = set-difference against
 committed manifests (a metadata-only anti-join).
 
 Shard planning: a multi-file input shards by file groups (lineage = the
-file list — no re-read amplification; this is the 100 TB path where one
-shard = one input partition directory). A single-file input falls back to
-hash-of-doc_id filtering (test-scale convenience).
+file list; this is the 100 TB path where one shard = one input partition
+directory). A single-file input falls back to hash-of-doc_id shards
+(test-scale convenience).
+
+One run covers every pending shard (planned, not already committed) with
+one Dataset per phase: a single read of the pending shards' inputs, one
+map that tags each row with its shard id (from the row's file, or its
+doc_id hash) and a single ``write_parquet(partition_cols=[SHARD_COL])``
+that writes one directory per shard, so a two-phase job runs two
+Datasets whatever its shard count, and a hash-sharded file is read once
+per phase. Assigning rows to shards at ingest, not re-reading the input
+per shard, is the "Partition, Don't Sort!" (VLDB 2024) point. The commit
+stays per shard: each directory is renamed into place (the detect
+directories before the recognize read, the DETECT_DONE boundary), its
+lineage stats and sha256 read, and its manifest written last.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
@@ -41,7 +54,11 @@ from .pipeline import (
     build_extract_pipeline,
     build_recognize_pipeline,
 )
-from .rng import hash_str
+from .rng import hash_str, hash_str_np
+
+# The column that tags each row of a run with its shard id. The phase
+# writes partition on it, so the committed files never hold it.
+SHARD_COL = "_shard"
 
 
 @dataclass
@@ -72,22 +89,82 @@ def plan_shards(input_path: str, n_shards: int) -> list[ShardPlan]:
     ]
 
 
-def _shard_dataset(plan: ShardPlan) -> rd.Dataset:
-    remote_args = PipelineOptions().remote_args()
-    if plan.files:
-        return rd.read_parquet(plan.files, ray_remote_args=remote_args)
-    ds = rd.read_parquet(plan.input_path, ray_remote_args=remote_args)
-    i, n = plan.hash_mod
+def _read_tagged(path_sid: dict[str, int]) -> rd.Dataset:
+    """The files of ``path_sid`` as one Dataset, each row tagged with its
+    file's shard id. Ray returns each row's ``path`` exactly as it was
+    given, and the tag map takes the read's remote args, so it fuses into
+    the read."""
+    paths = pa.array(list(path_sid))
+    sids = pa.array(list(path_sid.values()), pa.int32())
 
-    def pick(batch: pa.Table) -> pa.Table:
+    def tag_shard(batch: pa.Table) -> pa.Table:
+        idx = pc.index_in(batch.column("path"), value_set=paths)
+        return batch.drop_columns(["path"]).append_column(SHARD_COL, sids.take(idx))
+
+    ds = rd.read_parquet(
+        list(path_sid), include_paths=True,
+        ray_remote_args=PipelineOptions().remote_args(),
+    )
+    return ds.map_batches(tag_shard, **PipelineOptions().task_kwargs())
+
+
+def _pending_dataset(plans: list[ShardPlan]) -> rd.Dataset:
+    """The union of the ``plans`` shards' inputs, read once, each row
+    tagged with its shard id in ``SHARD_COL``."""
+    if plans[0].files:
+        return _read_tagged({f: p.shard_id for p in plans for f in p.files})
+    n = plans[0].hash_mod[1]
+    pending = pa.array([p.shard_id for p in plans], pa.int32())
+
+    def tag_shard(batch: pa.Table) -> pa.Table:
         # vectorized FNV-1a (bit-equal to hash_str per row, so existing
-        # manifests' shard assignment is preserved across resume)
-        from .rng import hash_str_np
+        # manifests' shard assignment is preserved across resume); rows of
+        # committed shards drop here
+        h = hash_str_np(batch.column("doc_id")) % np.uint64(n)
+        sid = pa.array(h.astype(np.int32))
+        return batch.append_column(SHARD_COL, sid).filter(
+            pc.is_in(sid, value_set=pending)
+        )
 
-        h = hash_str_np(batch.column("doc_id"))
-        return batch.filter(pa.array(h % np.uint64(n) == np.uint64(i)))
+    ds = rd.read_parquet(
+        plans[0].input_path, ray_remote_args=PipelineOptions().remote_args()
+    )
+    return ds.map_batches(tag_shard, **PipelineOptions().task_kwargs())
 
-    return ds.map_batches(pick, **PipelineOptions().task_kwargs())
+
+def _write_phase(ds: rd.Dataset, dest: str, phase: str) -> None:
+    """Write a phase's Dataset under ``dest``, one directory per shard
+    (``_partition_dir``); the write takes the stage's remote args, so it
+    fuses into the stage's operator. ``GRAFT_STATS`` prints the phase's
+    ``ds.stats()`` to stderr (the reference's per-stage timing analogue,
+    orchestrator.py:38-72), so the JSON summary on stdout stays
+    machine-readable."""
+    ds.write_parquet(
+        dest, partition_cols=[SHARD_COL],
+        ray_remote_args=PipelineOptions().remote_args(),
+    )
+    if os.environ.get("GRAFT_STATS"):
+        print(f"--- {phase} phase stats ---\n{ds.stats()}", file=sys.stderr)
+
+
+def _partition_dir(root: str, shard_id: int) -> str:
+    return os.path.join(root, f"{SHARD_COL}={shard_id}")
+
+
+def _commit_dir(src: str, dst: str) -> None:
+    """Rename a shard's partition directory ``src`` to ``dst``; a shard the
+    write gave no rows has no ``src`` and commits an empty ``dst``."""
+    shutil.rmtree(dst, ignore_errors=True)
+    if os.path.isdir(src):
+        os.replace(src, dst)
+    else:
+        os.makedirs(dst)
+
+
+def _fresh_dir(path: str) -> str:
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    return path
 
 
 def _manifest_path(out_dir: str, shard_id: int) -> str:
@@ -212,39 +289,31 @@ def _written_stats(part_dir: str) -> dict:
     }
 
 
-def run_shard(
-    plan: ShardPlan,
+def _run_pending(
+    plans: list[ShardPlan],
     out_dir: str,
+    n_shards: int,
+    sig: str,
     cfg: ExtractConfig | None = None,
     overrides: list[dict] | None = None,
     two_phase: bool = False,
-    n_shards: int | None = None,
-    sig: str | None = None,
     result_overrides: list[dict] | None = None,
     survivors_ref=None,
     tenant: str | None = None,
-) -> dict:
-    """Run the extract pipeline for one shard; atomic write + manifest commit.
+) -> None:
+    """Run the extract pipeline over every shard of ``plans`` as one
+    Dataset per phase, then commit each shard: atomic rename, lineage
+    stats, content hash, manifest last.
 
     ``two_phase`` mirrors the reference's E1/E2 flow (run_job ->
     DETECT_DONE -> run_ocr_job): the detect output is persisted under
-    ``detect/part-NNNNN`` (the human-editable intermediate) and recognize
-    consumes that checkpoint; output is identical to the fused path.
-    ``result_overrides`` (PATCH result analogue) replaces whole extracted
-    span sequences at merge, after either path."""
+    ``detect/part-NNNNN`` (the human-editable intermediate), committed per
+    shard before recognize reads it back; output is identical to the
+    fused path. ``result_overrides`` (PATCH result analogue) replaces
+    whole extracted span sequences at merge, after either path."""
     t0 = time.perf_counter()
-    # the reads and writes take the stage's remote args, so each phase is
-    # one operator from the read to the write, one task per input block.
-    # A fresh dict per call: a read adds its scheduling strategy to the
-    # dict it is given, which would then keep a write from fusing.
-    opts = PipelineOptions()
-    sid = plan.shard_id
-    part_dir = os.path.join(out_dir, f"part-{sid:05d}")
-    tmp_dir = os.path.join(out_dir, f".tmp-part-{sid:05d}")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    os.makedirs(tmp_dir, exist_ok=True)
-
-    ds = _shard_dataset(plan)
+    tmp_dir = _fresh_dir(os.path.join(out_dir, ".tmp-run"))
+    ds = _pending_dataset(plans)
     if tenant is not None:
         # tenant-scoped run (reference: every job is tenant-filtered,
         # routes_jobs.py:52-63); part of config_sig, so switching tenants
@@ -262,71 +331,67 @@ def run_shard(
         )
     stage_times: dict[str, float] = {}
     if two_phase:
-        det_dir = os.path.join(out_dir, "detect", f"part-{sid:05d}")
-        det_tmp = os.path.join(out_dir, "detect", f".tmp-part-{sid:05d}")
-        shutil.rmtree(det_tmp, ignore_errors=True)
-        os.makedirs(det_tmp, exist_ok=True)
+        det_tmp = _fresh_dir(os.path.join(out_dir, "detect", ".tmp-run"))
         t_det = time.perf_counter()
-        det = build_detect_pipeline(ds, cfg=cfg)
-        det.write_parquet(det_tmp, ray_remote_args=opts.remote_args())
+        _write_phase(build_detect_pipeline(ds, cfg=cfg), det_tmp, "detect")
         stage_times["detect_s"] = round(time.perf_counter() - t_det, 4)
-        if os.environ.get("GRAFT_STATS"):
-            print(
-                f"--- shard {sid} detect stats ---\n{det.stats()}",
-                file=sys.stderr,
-            )
-        shutil.rmtree(det_dir, ignore_errors=True)
-        os.replace(det_tmp, det_dir)  # DETECT_DONE boundary committed
-        detected = rd.read_parquet(det_dir, ray_remote_args=opts.remote_args())
+        detected: dict[str, int] = {}
+        for plan in plans:
+            sid = plan.shard_id
+            det_dir = os.path.join(out_dir, "detect", f"part-{sid:05d}")
+            _commit_dir(_partition_dir(det_tmp, sid), det_dir)  # DETECT_DONE
+            for f in sorted(os.listdir(det_dir)):
+                if f.endswith(".parquet"):
+                    detected[os.path.join(det_dir, f)] = sid
+        shutil.rmtree(det_tmp)
         t_rec = time.perf_counter()
-        out = build_recognize_pipeline(detected, cfg=cfg, overrides=overrides)
-        out = apply_result_overrides(out, result_overrides)
-        out.write_parquet(tmp_dir, ray_remote_args=opts.remote_args())
+        # no detect file at all: every pending shard is empty, and there is
+        # nothing to recognize
+        if detected:
+            out = build_recognize_pipeline(
+                _read_tagged(detected), cfg=cfg, overrides=overrides
+            )
+            _write_phase(
+                apply_result_overrides(out, result_overrides), tmp_dir, "recognize"
+            )
         stage_times["recognize_s"] = round(time.perf_counter() - t_rec, 4)
     else:
         out = build_extract_pipeline(ds, cfg=cfg, overrides=overrides)
-        out = apply_result_overrides(out, result_overrides)
-        out.write_parquet(tmp_dir, ray_remote_args=opts.remote_args())
-    if os.environ.get("GRAFT_STATS"):
-        # per-stage wall/cpu breakdown (reference's per-stage INFO timing
-        # analogue, orchestrator.py:38-72) — stderr so the one-line JSON
-        # summary on stdout stays machine-readable
-        print(
-            f"--- shard {sid} stats ---\n{out.stats()}",
-            file=sys.stderr,
-        )
-
-    st = _written_stats(tmp_dir)
+        _write_phase(apply_result_overrides(out, result_overrides), tmp_dir, "extract")
+    # every manifest of the run carries the run's wall, stage walls and
+    # shard ids, so a reader counts a shared run once
     wall = time.perf_counter() - t0
-
-    shutil.rmtree(part_dir, ignore_errors=True)
-    os.replace(tmp_dir, part_dir)  # atomic data commit
-    manifest = {
-        "partition_id": sid,
-        "lineage": {
-            "files": plan.files,
-            "hash_mod": list(plan.hash_mod) if plan.hash_mod else None,
-            "input_path": plan.input_path,
-        },
-        **st,
-        "n_shards": n_shards,
-        "config_sig": sig
-        if sig is not None
-        else config_sig(cfg, overrides, two_phase, result_overrides),
-        "content_sha256": _content_sha256(part_dir),
-        "wall_time_s": round(wall, 4),
-        "docs_per_s": round(st["n_docs"] / wall, 3) if wall > 0 else None,
-        "two_phase": two_phase,
-        "stage_times": stage_times,
-        "status": "DONE",
-    }
-    mpath = _manifest_path(out_dir, sid)
-    os.makedirs(os.path.dirname(mpath), exist_ok=True)
-    tmp_m = mpath + ".tmp"
-    with open(tmp_m, "w") as f:
-        json.dump(manifest, f, indent=2)
-    os.replace(tmp_m, mpath)  # manifest commit last
-    return manifest
+    run_shards = [p.shard_id for p in plans]
+    for plan in plans:
+        sid = plan.shard_id
+        part_dir = os.path.join(out_dir, f"part-{sid:05d}")
+        _commit_dir(_partition_dir(tmp_dir, sid), part_dir)  # atomic data commit
+        st = _written_stats(part_dir)
+        manifest = {
+            "partition_id": sid,
+            "lineage": {
+                "files": plan.files,
+                "hash_mod": list(plan.hash_mod) if plan.hash_mod else None,
+                "input_path": plan.input_path,
+            },
+            **st,
+            "n_shards": n_shards,
+            "config_sig": sig,
+            "content_sha256": _content_sha256(part_dir),
+            "wall_time_s": round(wall, 4),
+            "docs_per_s": round(st["n_docs"] / wall, 3) if wall > 0 else None,
+            "two_phase": two_phase,
+            "stage_times": stage_times,
+            "run_shards": run_shards,
+            "status": "DONE",
+        }
+        mpath = _manifest_path(out_dir, sid)
+        os.makedirs(os.path.dirname(mpath), exist_ok=True)
+        tmp_m = mpath + ".tmp"
+        with open(tmp_m, "w") as f:
+            json.dump(manifest, f, indent=2)
+        os.replace(tmp_m, mpath)  # manifest commit last
+    shutil.rmtree(tmp_dir)
 
 
 def _manifest_valid(manifest: dict, plan: ShardPlan, n_shards: int, sig: str) -> bool:
@@ -390,8 +455,13 @@ def run_job(
     """Full checkpointed job. Returns a summary incl. which shards ran vs
     were skipped (resume anti-join against committed manifests, each
     validated against the current plan's lineage + config) and which
-    previously-committed shards were invalidated and rerun. Failed shards
-    retry with capped exponential backoff (reference Celery semantics).
+    previously-committed shards were invalidated and rerun. The pending
+    shards run together, one Dataset per phase (``_run_pending``); a
+    failed run commits nothing and retries whole with capped exponential
+    backoff (reference Celery semantics), leaving the shards an earlier
+    run committed as they are. Ray's per-task retries
+    (``PipelineOptions.max_task_retries``) absorb worker crashes inside a
+    run.
 
     ``invalidate_doc_ids`` is the per-document requeue/rerun hook
     (reference POST /jobs/{id}/rerun forces one job's re-processing,
@@ -403,7 +473,7 @@ def run_job(
     ``dedup="exact"`` runs a whole-document exact-dedup pre-pass over the
     full input (vectorized span-signature hash; the shuffle carries only
     16-byte signatures), commits the survivor doc_id list under
-    ``out_dir/dedup/`` (atomic, reused on resume), and every shard drops
+    ``out_dir/dedup/`` (atomic, reused on resume), and the run drops
     non-survivors before extraction — the training-data composition
     read -> dedup -> extract."""
     plans = plan_shards(input_path, n_shards)
@@ -463,9 +533,10 @@ def run_job(
             # resume (resume=False still writes under the narrower plan)
             invalidated.append(sid)
             os.remove(_manifest_path(out_dir, sid))
-            shutil.rmtree(
-                os.path.join(out_dir, f"part-{sid:05d}"), ignore_errors=True
-            )
+            for d in ("", "detect"):
+                shutil.rmtree(
+                    os.path.join(out_dir, d, f"part-{sid:05d}"), ignore_errors=True
+                )
             continue
         if not resume:
             continue  # shard reruns anyway; manifest will be overwritten
@@ -483,32 +554,26 @@ def run_job(
                 done.discard(sid)
                 invalidated.append(sid)
                 os.remove(_manifest_path(out_dir, sid))
-    ran, skipped = [], []
+    pending = [p for p in plans if p.shard_id not in done]
     t0 = time.perf_counter()
-    for plan in plans:
-        if plan.shard_id in done:
-            skipped.append(plan.shard_id)
-            continue
-        for attempt in range(shard_retries + 1):
-            try:
-                run_shard(
-                    plan, out_dir, cfg=cfg, overrides=overrides,
-                    two_phase=two_phase, n_shards=n_shards, sig=sig,
-                    result_overrides=result_overrides,
-                    survivors_ref=survivors_ref, tenant=tenant,
-                )
-                break
-            except Exception:
-                if attempt == shard_retries:
-                    raise
-                time.sleep(_retry_delay_s(plan.shard_id, attempt, retry_base_s))
-        ran.append(plan.shard_id)
+    for attempt in range(shard_retries + 1 if pending else 0):
+        try:
+            _run_pending(
+                pending, out_dir, n_shards, sig, cfg=cfg, overrides=overrides,
+                two_phase=two_phase, result_overrides=result_overrides,
+                survivors_ref=survivors_ref, tenant=tenant,
+            )
+            break
+        except Exception:
+            if attempt == shard_retries:
+                raise
+            time.sleep(_retry_delay_s(pending[0].shard_id, attempt, retry_base_s))
     manifests = load_manifests(out_dir)
     return {
         "out_dir": out_dir,
         "n_shards": n_shards,
-        "shards_ran": ran,
-        "shards_skipped": skipped,
+        "shards_ran": [p.shard_id for p in pending],
+        "shards_skipped": sorted(done),
         "shards_invalidated": sorted(invalidated),
         "n_docs": sum(m["n_docs"] for m in manifests),
         "n_blocks": sum(m["n_blocks"] for m in manifests),

@@ -21,10 +21,10 @@ Physical design (SURVEY §4, §7.4):
 - the stage is a task map over a callable stage instance: stage state
   (glyph templates) is built at import once per worker process, and Ray
   reuses task workers across Datasets in a session, so no actor pool
-  starts per Dataset (a two-phase job executes one per shard and phase).
+  starts per Dataset (a two-phase job executes one per phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
-- every task on the extraction path (the reads, the job's shard pick,
+- every task on the extraction path (the reads, the job's shard tag,
   tenant scope and dedup-survivor filter, normalize, the stage, the
   result overrides and the job's writes) takes the same remote args,
   ``PipelineOptions().remote_args()``, and the stage sets no batch size,

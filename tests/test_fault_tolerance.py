@@ -52,7 +52,8 @@ def test_crash_in_fused_write_leaves_each_row_once(tmp_path):
     """A stage that crashes once inside a read -> stage -> write task (the
     write takes the stage's remote args, so it runs in the stage's task):
     the retried task rewrites its block, and every row lands in the output
-    directory exactly once."""
+    directory exactly once. The write partitions on a column, as a
+    checkpoint phase writes one directory per shard."""
     import pyarrow.parquet as pq
 
     from ocr_platform_ray.pipeline import PipelineOptions
@@ -61,16 +62,19 @@ def test_crash_in_fused_write_leaves_each_row_once(tmp_path):
     src = tmp_path / "in"
     src.mkdir()
     for k in range(2):
-        pq.write_table(pa.table({"x": list(range(50 * k, 50 * k + 50))}),
+        xs = list(range(50 * k, 50 * k + 50))
+        pq.write_table(pa.table({"x": xs, "shard": [x % 3 for x in xs]}),
                        src / f"part-{k}.parquet")
     flag = str(tmp_path / "crashed")
     out_dir = tmp_path / "out"
     ds = rd.read_parquet(str(src), ray_remote_args=opts.remote_args()).map_batches(
         CrashOnce(flag), batch_size=None, **opts.task_kwargs()
     )
-    ds.write_parquet(str(out_dir), ray_remote_args=opts.remote_args())
+    ds.write_parquet(str(out_dir), partition_cols=["shard"],
+                     ray_remote_args=opts.remote_args())
     assert os.path.exists(flag)            # the crash really happened
     # the write ran in the stage's task
     assert "MapBatches(CrashOnce)->Write" in ds.stats(), ds.stats()
+    assert sorted(os.listdir(out_dir)) == ["shard=0", "shard=1", "shard=2"]
     vals = sorted(pq.read_table(str(out_dir)).column("x").to_pylist())
     assert vals == list(range(100))        # each row exactly once

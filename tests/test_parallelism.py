@@ -9,8 +9,9 @@ that two stage tasks overlap under a consumer map, that the global
 context is left alone, and that ``corpus_from_documents`` splits at the
 read (no Repartition) so the read's metadata strip and ``to_spans``
 fuse into the stage's operator, that the maps a checkpointed job adds
-before the stage fuse into it too, and that each phase of a job's shard
-of many files is one operator from the read to the write.
+before the stage fuse into it too, that a job runs one Dataset per phase
+for all its shards, and that each phase of a job over many files is one
+operator from the read to the write.
 
 Everything runs in one child process with its own
 ``ray.init(num_cpus=2)``, under a timeout that kills the child's whole
@@ -122,9 +123,10 @@ try:
             if "MapBatches(ExtractStage)" in line:
                 print("stage_op", line)
 
-    # 4. the job's detect phase on a tenant-scoped, hash-mod shard with a
-    # survivor set: the shard pick, tenant scope and survivor filter take
-    # the stage's remote args, so they fuse into the stage's operator
+    # 4. a tenant-scoped, deduplicated two-phase job over one file in 4
+    # hash shards: the shard tag, tenant scope and survivor filter take
+    # the stage's remote args, so they fuse into the stage's operator, and
+    # every phase reads the file once for all shards
     from ocr_platform_ray import checkpoint, corpus
     shard = corpus.generate_corpus_table(40, seed=3)
     shard = shard.append_column(
@@ -150,23 +152,20 @@ try:
                     print(tag, name, line)
         built.clear()
 
-    checkpoint.run_shard(
-        checkpoint.ShardPlan(0, hash_mod=(0, 2), input_path=shard_path),
-        os.path.join(work, "job"), two_phase=True, tenant="t0",
-        survivors_ref=ray.put(set(shard["doc_id"].to_pylist()[::3])))
+    checkpoint.run_job(shard_path, os.path.join(work, "job"), n_shards=4,
+                       two_phase=True, tenant="t0", dedup="exact")
     print_ops("hash_op")
 
-    # 5. a shard of 2 x NCPU files, two-phase and fused: the reads and
-    # writes take the stage's remote args and the stage sets no batch
-    # size, so each phase is one operator, one task per file
-    files = []
-    for k in range(2 * NCPU):
-        files.append(os.path.join(work, f"part-{k}.parquet"))
-        pq.write_table(shard.slice(10 * k, 10), files[-1])
+    # 5. two file-group shards of 2 x NCPU files each, two-phase and fused:
+    # the reads and writes take the stage's remote args and the stage sets
+    # no batch size, so each phase is one operator over both shards
+    in_dir = os.path.join(work, "files")
+    os.makedirs(in_dir)
+    for k in range(4 * NCPU):
+        pq.write_table(shard.slice(5 * k, 5), os.path.join(in_dir, f"part-{k}.parquet"))
     for two_phase in (True, False):
-        checkpoint.run_shard(
-            checkpoint.ShardPlan(0, files=files),
-            os.path.join(work, f"job-files-{two_phase}"), two_phase=two_phase)
+        checkpoint.run_job(in_dir, os.path.join(work, f"job-files-{two_phase}"),
+                           n_shards=2, two_phase=two_phase)
     print_ops("files_op")
 finally:
     ray.shutdown()
@@ -251,22 +250,40 @@ def _phase_ops(out: str, tag: str) -> dict:
 
 
 def test_job_detect_phase_is_read_then_stage(child_out):
-    """The shard pick, tenant scope and dedup-survivor filter the job adds
+    """The shard tag, tenant scope and dedup-survivor filter the job adds
     before the stage carry the stage's remote args: the detect phase of a
-    scoped, hash-mod shard is its single-file read, split into blocks
-    (Ray Data never fuses a split read), then the stage's operator."""
+    scoped job over one file in hash shards is its single-file read,
+    split into blocks (Ray Data never fuses a split read), then the
+    stage's operator."""
     out, err = child_out
     ops = _phase_ops(out, "hash_op").get("build_detect_pipeline")
     assert ops and len(ops) == 1, out or err
     assert re.match(r"Operator 1 ReadParquet->SplitBlocks", ops[0][0]), ops
     _assert_read_then_stage(ops[0])
+    assert re.search(
+        r"MapBatches\(tag_shard\)->MapBatches\(in_tenant\)->"
+        r"MapBatches\(keep_survivors\)->.*MapBatches\(ExtractStage\)->Write", ops[0][1]
+    ), ops
+
+
+def test_hash_shards_read_their_input_once(child_out):
+    """A two-phase job over one file in 4 hash shards runs 2 Datasets,
+    one per phase, and each reads its input with one ``ReadParquet``
+    operator (a Dataset per shard and phase would make 8)."""
+    out, err = child_out
+    phases = _phase_ops(out, "hash_op")
+    assert sorted(phases) == ["build_detect_pipeline", "build_recognize_pipeline"], out or err
+    for name, runs in phases.items():
+        assert len(runs) == 1, (name, runs)
+        assert sum(bool(re.match(r"Operator \d+ ReadParquet", op)) for op in runs[0]) == 1, (
+            name, runs)
 
 
 def test_job_phases_are_one_operator(child_out):
-    """On a shard of 2 x CPU files, the detect and recognize phases of a
-    two-phase run and the one phase of a fused run are each exactly one
-    operator, ``ReadParquet->...->MapBatches(ExtractStage)->Write``, with
-    one task per file."""
+    """Over two shards of 2 x CPU files each, the detect and recognize
+    phases of a two-phase run and the one phase of a fused run are each
+    one Dataset of exactly one operator,
+    ``ReadParquet->...->MapBatches(ExtractStage)->Write``."""
     out, err = child_out
     phases = _phase_ops(out, "files_op")
     assert sorted(phases) == [
@@ -276,6 +293,6 @@ def test_job_phases_are_one_operator(child_out):
         assert len(runs) == 1, (name, runs)
         assert len(runs[0]) == 1, (name, runs)
         assert re.match(
-            r"Operator 1 ReadParquet->(.*->)?MapBatches\(ExtractStage\)->Write: "
-            r"4 tasks executed", runs[0][0]
+            r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->(.*->)?"
+            r"MapBatches\(ExtractStage\)->Write: \d+ tasks executed", runs[0][0]
         ), (name, runs)

@@ -172,20 +172,22 @@ def test_resume_invalidates_changed_config(input_path, tmp_path):
 
 
 def test_shard_retry_backoff(input_path, tmp_path, monkeypatch):
-    """A shard that fails transiently is retried with backoff and the job
-    completes; a permanently failing shard raises after the budget."""
+    """A run that fails transiently is retried whole after one backoff
+    delay and every pending shard commits; a run that always fails raises
+    after ``shard_retries + 1`` attempts, commits no manifest, and leaves
+    the manifests of an earlier run as they were."""
     import ocr_platform_ray.checkpoint as cp
 
-    real = cp.run_shard
+    real = cp.build_extract_pipeline
     calls = {"n": 0}
 
-    def flaky(plan, *a, **kw):
+    def flaky(*a, **kw):
         calls["n"] += 1
-        if plan.shard_id == 1 and calls["n"] <= 2:
+        if calls["n"] == 1:
             raise RuntimeError("transient")
-        return real(plan, *a, **kw)
+        return real(*a, **kw)
 
-    monkeypatch.setattr(cp, "run_shard", flaky)
+    monkeypatch.setattr(cp, "build_extract_pipeline", flaky)
     delays = []
     real_delay = cp._retry_delay_s
 
@@ -197,17 +199,46 @@ def test_shard_retry_backoff(input_path, tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     summary = cp.run_job(input_path, out, n_shards=2, shard_retries=2)
     assert summary["shards_ran"] == [0, 1]
-    # shard 1 failed once (its first call is global call #2), so exactly
-    # one backoff delay was computed
+    assert completed_shards(out) == {0, 1}
+    # one failed run, so exactly one backoff delay was computed
+    assert calls["n"] == 2
     assert len(delays) == 1 and all(0.4 <= d <= 600.0 for d in delays)
 
-    def always_fail(plan, *a, **kw):
+    os.remove(os.path.join(out, "manifest", "part-00001.json"))
+    with open(os.path.join(out, "manifest", "part-00000.json")) as f:
+        kept = f.read()
+    calls["n"] = 0
+    delays.clear()
+
+    def always_fail(*a, **kw):
+        calls["n"] += 1
         raise RuntimeError("poison")
 
-    monkeypatch.setattr(cp, "run_shard", always_fail)
-    with pytest.raises(RuntimeError):
-        cp.run_job(input_path, str(tmp_path / "out2"), n_shards=1,
-                   shard_retries=1)
+    monkeypatch.setattr(cp, "build_extract_pipeline", always_fail)
+    with pytest.raises(RuntimeError, match="poison"):
+        cp.run_job(input_path, out, n_shards=2, shard_retries=1)
+    assert calls["n"] == 2 and len(delays) == 1
+    assert completed_shards(out) == {0}
+    with open(os.path.join(out, "manifest", "part-00000.json")) as f:
+        assert f.read() == kept
+
+
+def test_run_manifests_share_run_fields(input_path, tmp_path):
+    """Every shard of one run is committed from the same Datasets: their
+    manifests share ``run_shards`` (the run's shard ids), ``stage_times``
+    and ``wall_time_s``; a later run of one shard records only itself."""
+    out = str(tmp_path / "out")
+    run_job(input_path, out, n_shards=N_SHARDS, two_phase=True)
+    ms = load_manifests(out)
+    assert [m["run_shards"] for m in ms] == [list(range(N_SHARDS))] * N_SHARDS
+    assert len({json.dumps(m["stage_times"], sort_keys=True) for m in ms}) == 1
+    assert set(ms[0]["stage_times"]) == {"detect_s", "recognize_s"}
+    assert len({m["wall_time_s"] for m in ms}) == 1
+    os.remove(os.path.join(out, "manifest", "part-00002.json"))
+    assert run_job(input_path, out, n_shards=N_SHARDS, two_phase=True)["shards_ran"] == [2]
+    assert [m["run_shards"] for m in load_manifests(out)] == [
+        list(range(N_SHARDS)), list(range(N_SHARDS)), [2], list(range(N_SHARDS)),
+    ]
 
 
 def test_manifest_surfaces_span_errors(tmp_path):
@@ -241,6 +272,18 @@ def test_no_resume_still_clears_stale_wider_plan(input_path, tmp_path):
     assert summary["n_docs"] == N_DOCS          # no double count
     assert not os.path.isdir(os.path.join(out, "part-00002"))
     assert completed_shards(out) == {0, 1}
+
+
+def test_no_resume_clears_stale_wider_two_phase_plan(input_path, tmp_path):
+    """Narrowing a two-phase plan removes the stale shard's detect
+    checkpoint with its output and manifest."""
+    out = str(tmp_path / "out")
+    run_job(input_path, out, n_shards=3, two_phase=True)
+    summary = run_job(input_path, out, n_shards=2, two_phase=True, resume=False)
+    assert summary["shards_invalidated"] == [2]
+    assert summary["n_docs"] == N_DOCS
+    assert not os.path.isdir(os.path.join(out, "part-00002"))
+    assert sorted(os.listdir(os.path.join(out, "detect"))) == ["part-00000", "part-00001"]
 
 
 def test_dedup_prepass_drops_duplicates(tmp_path):
@@ -404,3 +447,11 @@ def test_empty_shard_commits_zero_manifest(tmp_path):
     for m in load_manifests(out):
         assert (m["n_docs"], m["n_blocks"], m["doc_id_min"]) == (0, 0, "")
         assert m["n_docs_by_tenant"] == {}
+    # two-phase: the empty shards commit empty detect directories too
+    out2 = str(tmp_path / "out2")
+    summary = run_job(path, out2, n_shards=2, tenant="t1", two_phase=True)
+    assert summary["shards_ran"] == [0, 1] and summary["n_docs"] == 0
+    for sid in (0, 1):
+        assert os.listdir(os.path.join(out2, "detect", f"part-{sid:05d}")) == []
+        assert os.listdir(os.path.join(out2, f"part-{sid:05d}")) == []
+    assert sorted(os.listdir(out2)) == ["detect", "manifest", "part-00000", "part-00001"]
