@@ -27,6 +27,12 @@ per shard, is the "Partition, Don't Sort!" (VLDB 2024) point. The commit
 stays per shard: each directory is renamed into place (the detect
 directories before the recognize read, the DETECT_DONE boundary), its
 lineage stats and sha256 read, and its manifest written last.
+
+The retry and commit unit is the run, not the shard: a run that fails
+commits none of its shards, so one shard that always fails (a corrupt
+input file) keeps every other shard of its run from committing, and each
+retry recomputes the whole run. A job of more than ``RUN_SHARDS`` shards
+runs in runs of that many, which bounds what one failure holds back.
 """
 
 from __future__ import annotations
@@ -59,6 +65,13 @@ from .rng import hash_str, hash_str_np
 # The column that tags each row of a run with its shard id. The phase
 # writes partition on it, so the committed files never hold it.
 SHARD_COL = "_shard"
+
+# Most shards one run covers. Ray's partitioned write leaves pyarrow's
+# ``write_dataset(max_partitions=1024)`` default in place, which fails a
+# written batch whose rows fall in more partitions; a run of at most this
+# many shards can never make one, whatever the batch shape. A job of more
+# shards runs one run after another, each committing on its own.
+RUN_SHARDS = 1024
 
 
 @dataclass
@@ -456,10 +469,13 @@ def run_job(
     were skipped (resume anti-join against committed manifests, each
     validated against the current plan's lineage + config) and which
     previously-committed shards were invalidated and rerun. The pending
-    shards run together, one Dataset per phase (``_run_pending``); a
-    failed run commits nothing and retries whole with capped exponential
-    backoff (reference Celery semantics), leaving the shards an earlier
-    run committed as they are. Ray's per-task retries
+    shards run together, one Dataset per phase (``_run_pending``), in
+    runs of at most ``RUN_SHARDS`` shards. A failed run commits nothing
+    and retries whole, up to ``shard_retries`` times, with capped
+    exponential backoff (reference Celery semantics), leaving the shards
+    an earlier run committed as they are. So one shard that always fails
+    keeps every shard of its run from committing, and a driver killed
+    mid-run loses that run's work. Ray's per-task retries
     (``PipelineOptions.max_task_retries``) absorb worker crashes inside a
     run.
 
@@ -556,18 +572,20 @@ def run_job(
                 os.remove(_manifest_path(out_dir, sid))
     pending = [p for p in plans if p.shard_id not in done]
     t0 = time.perf_counter()
-    for attempt in range(shard_retries + 1 if pending else 0):
-        try:
-            _run_pending(
-                pending, out_dir, n_shards, sig, cfg=cfg, overrides=overrides,
-                two_phase=two_phase, result_overrides=result_overrides,
-                survivors_ref=survivors_ref, tenant=tenant,
-            )
-            break
-        except Exception:
-            if attempt == shard_retries:
-                raise
-            time.sleep(_retry_delay_s(pending[0].shard_id, attempt, retry_base_s))
+    for start in range(0, len(pending), RUN_SHARDS):
+        run = pending[start : start + RUN_SHARDS]
+        for attempt in range(shard_retries + 1):
+            try:
+                _run_pending(
+                    run, out_dir, n_shards, sig, cfg=cfg, overrides=overrides,
+                    two_phase=two_phase, result_overrides=result_overrides,
+                    survivors_ref=survivors_ref, tenant=tenant,
+                )
+                break
+            except Exception:
+                if attempt == shard_retries:
+                    raise
+                time.sleep(_retry_delay_s(run[0].shard_id, attempt, retry_base_s))
     manifests = load_manifests(out_dir)
     return {
         "out_dir": out_dir,

@@ -283,7 +283,9 @@ def test_job_phases_are_one_operator(child_out):
     """Over two shards of 2 x CPU files each, the detect and recognize
     phases of a two-phase run and the one phase of a fused run are each
     one Dataset of exactly one operator,
-    ``ReadParquet->...->MapBatches(ExtractStage)->Write``."""
+    ``ReadParquet->...->MapBatches(ExtractStage)->Write``, with 2 x CPU
+    tasks (Ray groups the 8 small files into 4 read tasks), so no phase
+    collapses into fewer than 2 x CPU tasks."""
     out, err = child_out
     phases = _phase_ops(out, "files_op")
     assert sorted(phases) == [
@@ -294,5 +296,5 @@ def test_job_phases_are_one_operator(child_out):
         assert len(runs[0]) == 1, (name, runs)
         assert re.match(
             r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->(.*->)?"
-            r"MapBatches\(ExtractStage\)->Write: \d+ tasks executed", runs[0][0]
+            r"MapBatches\(ExtractStage\)->Write: 4 tasks executed", runs[0][0]
         ), (name, runs)

@@ -241,6 +241,77 @@ def test_run_manifests_share_run_fields(input_path, tmp_path):
     ]
 
 
+def test_job_of_more_shards_than_one_run(tmp_path):
+    """A job of ``RUN_SHARDS + 1`` hash shards runs as two runs, the
+    second of one shard, so no partitioned write covers more shards than
+    pyarrow's 1024-partition limit; every shard commits and every doc is
+    written once."""
+    import ocr_platform_ray.checkpoint as cp
+
+    n = cp.RUN_SHARDS + 1
+    tbl = corpus.generate_corpus_table(40, seed=7)
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(tbl, path)
+    out = str(tmp_path / "out")
+    summary = run_job(path, out, n_shards=n)
+    assert summary["shards_ran"] == list(range(n))
+    assert summary["n_docs"] == 40
+    assert completed_shards(out) == set(range(n))
+    assert sorted(_read_all(out)) == sorted(tbl.column("doc_id").to_pylist())
+    runs = [m["run_shards"] for m in load_manifests(out)]
+    assert runs == [list(range(n - 1))] * (n - 1) + [[n - 1]]
+
+
+def test_poison_shard_holds_back_its_run(tmp_path, monkeypatch):
+    """A shard that always fails (a corrupt input file) keeps every other
+    shard of its run from committing: the run is retried whole
+    ``shard_retries + 1`` times, then raises, and the shards an earlier
+    run committed stay as they were. Smaller runs commit the shards of
+    the runs before the failing one."""
+    import ocr_platform_ray.checkpoint as cp
+
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    docs = corpus.generate_docs(24, seed=3)
+    for k in range(4):
+        pq.write_table(
+            corpus.docs_to_table(docs[k * 6 : (k + 1) * 6]), in_dir / f"f{k}.parquet"
+        )
+    out = str(tmp_path / "out")
+    run_job(str(in_dir), out, n_shards=4)
+    kept = {}
+    for sid in (0, 2):
+        with open(os.path.join(out, "manifest", f"part-{sid:05d}.json")) as f:
+            kept[sid] = f.read()
+    for sid in (1, 3):
+        os.remove(os.path.join(out, "manifest", f"part-{sid:05d}.json"))
+    (in_dir / "f3.parquet").write_bytes(b"not a parquet file")
+
+    runs = []
+    real_run = cp._run_pending
+
+    def spy_run(plans, *a, **kw):
+        runs.append([p.shard_id for p in plans])
+        return real_run(plans, *a, **kw)
+
+    monkeypatch.setattr(cp, "_run_pending", spy_run)
+    monkeypatch.setattr(cp, "_retry_delay_s", lambda *a: 0.0)
+    with pytest.raises(Exception, match="magic bytes"):
+        run_job(str(in_dir), out, n_shards=4, shard_retries=1)
+    assert runs == [[1, 3], [1, 3]]
+    assert completed_shards(out) == {0, 2}
+    for sid, text in kept.items():
+        with open(os.path.join(out, "manifest", f"part-{sid:05d}.json")) as f:
+            assert f.read() == text
+
+    runs.clear()
+    monkeypatch.setattr(cp, "RUN_SHARDS", 1)
+    with pytest.raises(Exception, match="magic bytes"):
+        run_job(str(in_dir), out, n_shards=4, shard_retries=1)
+    assert runs == [[1], [3], [3]]
+    assert completed_shards(out) == {0, 1, 2}
+
+
 def test_manifest_surfaces_span_errors(tmp_path):
     """A poison media_ref ends up as n_span_errors in the shard manifest."""
     docs = [
