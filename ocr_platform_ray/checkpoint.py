@@ -23,10 +23,14 @@ doc_id hash) and a single ``write_parquet(partition_cols=[SHARD_COL])``
 that writes one directory per shard, so a two-phase job runs two
 Datasets whatever its shard count, and a hash-sharded file is read once
 per phase. Assigning rows to shards at ingest, not re-reading the input
-per shard, is the "Partition, Don't Sort!" (VLDB 2024) point. The commit
-stays per shard: each directory is renamed into place (the detect
-directories before the recognize read, the DETECT_DONE boundary), its
-lineage stats and sha256 read, and its manifest written last.
+per shard, is the "Partition, Don't Sort!" (VLDB 2024) point. Both
+phases end in one step (``_run_phase``): the partitioned write, then each
+shard's directory renamed into place under the phase's root (``detect/``
+before the recognize phase reads it back, the DETECT_DONE boundary; the
+output directory itself for the last phase). The commit stays per shard:
+a shard's old manifest goes before its directory is replaced, and its
+new one, over the lineage stats and sha256 of what was written, lands
+last.
 
 The retry and commit unit is the run, not the shard: a run that fails
 commits none of its shards, so one shard that always fails (a corrupt
@@ -37,7 +41,7 @@ runs in runs of that many, which bounds what one failure holds back.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import hashlib
 import json
 import os
@@ -52,14 +56,9 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from .functions import resolve_broadcast
 from .kernels.extract import ExtractConfig
-from .pipeline import (
-    PipelineOptions,
-    apply_result_overrides,
-    build_detect_pipeline,
-    build_extract_pipeline,
-    build_recognize_pipeline,
-)
+from .pipeline import PipelineOptions, apply_result_overrides, build_extract_pipeline
 from .rng import hash_str, hash_str_np
 
 # The column that tags each row of a run with its shard id. The phase
@@ -145,39 +144,39 @@ def _pending_dataset(plans: list[ShardPlan]) -> rd.Dataset:
     return ds.map_batches(tag_shard, **PipelineOptions().task_kwargs())
 
 
-def _write_phase(ds: rd.Dataset, dest: str, phase: str) -> None:
-    """Write a phase's Dataset under ``dest``, one directory per shard
-    (``_partition_dir``); the write takes the stage's remote args, so it
-    fuses into the stage's operator. ``GRAFT_STATS`` prints the phase's
-    ``ds.stats()`` to stderr (the reference's per-stage timing analogue,
-    orchestrator.py:38-72), so the JSON summary on stdout stays
-    machine-readable."""
+def _run_phase(
+    ds: rd.Dataset, out_dir: str, root: str, plans: list[ShardPlan], phase: str
+) -> dict[int, str]:
+    """One checkpoint phase: write ``ds`` under ``root`` in one directory per
+    shard, then commit each shard's as ``root/part-NNNNN`` by rename (a
+    shard the write gave no rows commits an empty one); returns {shard id:
+    committed directory}. The shard's manifest is removed first, so an old
+    manifest never certifies the new data. The write takes the stage's
+    remote args, so it fuses into the stage's operator. ``GRAFT_STATS``
+    prints the phase's ``ds.stats()`` to stderr (the reference's per-stage
+    timing analogue, orchestrator.py:38-72), so the JSON summary on stdout
+    stays machine-readable."""
+    tmp = os.path.join(root, ".tmp-run")
+    shutil.rmtree(tmp, ignore_errors=True)
     ds.write_parquet(
-        dest, partition_cols=[SHARD_COL],
-        ray_remote_args=PipelineOptions().remote_args(),
+        tmp, partition_cols=[SHARD_COL], ray_remote_args=PipelineOptions().remote_args()
     )
     if os.environ.get("GRAFT_STATS"):
         print(f"--- {phase} phase stats ---\n{ds.stats()}", file=sys.stderr)
-
-
-def _partition_dir(root: str, shard_id: int) -> str:
-    return os.path.join(root, f"{SHARD_COL}={shard_id}")
-
-
-def _commit_dir(src: str, dst: str) -> None:
-    """Rename a shard's partition directory ``src`` to ``dst``; a shard the
-    write gave no rows has no ``src`` and commits an empty ``dst``."""
-    shutil.rmtree(dst, ignore_errors=True)
-    if os.path.isdir(src):
-        os.replace(src, dst)
-    else:
-        os.makedirs(dst)
-
-
-def _fresh_dir(path: str) -> str:
-    shutil.rmtree(path, ignore_errors=True)
-    os.makedirs(path)
-    return path
+    dirs = {}
+    for plan in plans:
+        sid = plan.shard_id
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_manifest_path(out_dir, sid))
+        src = os.path.join(tmp, f"{SHARD_COL}={sid}")
+        dirs[sid] = dst = os.path.join(root, f"part-{sid:05d}")
+        shutil.rmtree(dst, ignore_errors=True)
+        if os.path.isdir(src):
+            os.replace(src, dst)
+        else:
+            os.makedirs(dst)
+    shutil.rmtree(tmp, ignore_errors=True)
+    return dirs
 
 
 def _manifest_path(out_dir: str, shard_id: int) -> str:
@@ -238,21 +237,12 @@ def config_sig(
     ).hexdigest()[:16]
 
 
-@functools.lru_cache(maxsize=8)
-def _survivor_array(survivors_ref) -> pa.Array:
-    """Per-worker memo of the broadcast survivor set as a sorted Arrow
-    array, keyed by its ObjectRef: fetched and converted once per process,
-    not per batch."""
-    import ray
-
-    return pa.array(sorted(ray.get(survivors_ref)))
-
-
 def _keep_survivors(survivors_ref):
+    """Keep the rows whose doc_id is in the broadcast sorted survivor
+    array, resolved once per worker process."""
+
     def keep_survivors(batch: pa.Table) -> pa.Table:
-        mask = pa.compute.is_in(
-            batch.column("doc_id"), value_set=_survivor_array(survivors_ref)
-        )
+        mask = pc.is_in(batch.column("doc_id"), value_set=resolve_broadcast(survivors_ref))
         return batch.filter(mask)
 
     return keep_survivors
@@ -315,17 +305,16 @@ def _run_pending(
     tenant: str | None = None,
 ) -> None:
     """Run the extract pipeline over every shard of ``plans`` as one
-    Dataset per phase, then commit each shard: atomic rename, lineage
-    stats, content hash, manifest last.
+    Dataset per phase, each committed per shard by ``_run_phase``, then
+    write each shard's manifest over its lineage stats and content hash.
 
     ``two_phase`` mirrors the reference's E1/E2 flow (run_job ->
-    DETECT_DONE -> run_ocr_job): the detect output is persisted under
-    ``detect/part-NNNNN`` (the human-editable intermediate), committed per
-    shard before recognize reads it back; output is identical to the
-    fused path. ``result_overrides`` (PATCH result analogue) replaces
-    whole extracted span sequences at merge, after either path."""
+    DETECT_DONE -> run_ocr_job): the detect phase commits under
+    ``detect/part-NNNNN`` (the human-editable intermediate) and the
+    output phase reads it back; output is identical to the fused path.
+    ``result_overrides`` (PATCH result analogue) replaces whole extracted
+    span sequences at merge, after either path."""
     t0 = time.perf_counter()
-    tmp_dir = _fresh_dir(os.path.join(out_dir, ".tmp-run"))
     ds = _pending_dataset(plans)
     if tenant is not None:
         # tenant-scoped run (reference: every job is tenant-filtered,
@@ -344,41 +333,32 @@ def _run_pending(
         )
     stage_times: dict[str, float] = {}
     if two_phase:
-        det_tmp = _fresh_dir(os.path.join(out_dir, "detect", ".tmp-run"))
-        t_det = time.perf_counter()
-        _write_phase(build_detect_pipeline(ds, cfg=cfg), det_tmp, "detect")
-        stage_times["detect_s"] = round(time.perf_counter() - t_det, 4)
-        detected: dict[str, int] = {}
-        for plan in plans:
-            sid = plan.shard_id
-            det_dir = os.path.join(out_dir, "detect", f"part-{sid:05d}")
-            _commit_dir(_partition_dir(det_tmp, sid), det_dir)  # DETECT_DONE
-            for f in sorted(os.listdir(det_dir)):
-                if f.endswith(".parquet"):
-                    detected[os.path.join(det_dir, f)] = sid
-        shutil.rmtree(det_tmp)
-        t_rec = time.perf_counter()
-        # no detect file at all: every pending shard is empty, and there is
-        # nothing to recognize
+        t = time.perf_counter()
+        det = build_extract_pipeline(ds, cfg, recognize=False)
+        dirs = _run_phase(det, out_dir, os.path.join(out_dir, "detect"), plans, "detect")
+        stage_times["detect_s"] = round(time.perf_counter() - t, 4)
+        detected = {
+            os.path.join(d, f): sid
+            for sid, d in dirs.items()
+            for f in sorted(os.listdir(d)) if f.endswith(".parquet")
+        }
+        # no detect file at all: every pending shard is empty, and so is ds
         if detected:
-            out = build_recognize_pipeline(
-                _read_tagged(detected), cfg=cfg, overrides=overrides
-            )
-            _write_phase(
-                apply_result_overrides(out, result_overrides), tmp_dir, "recognize"
-            )
-        stage_times["recognize_s"] = round(time.perf_counter() - t_rec, 4)
-    else:
-        out = build_extract_pipeline(ds, cfg=cfg, overrides=overrides)
-        _write_phase(apply_result_overrides(out, result_overrides), tmp_dir, "extract")
+            ds = _read_tagged(detected)
+    t = time.perf_counter()
+    out = apply_result_overrides(
+        build_extract_pipeline(ds, cfg, overrides=overrides), result_overrides
+    )
+    dirs = _run_phase(out, out_dir, out_dir, plans, "recognize" if two_phase else "extract")
+    if two_phase:
+        stage_times["recognize_s"] = round(time.perf_counter() - t, 4)
     # every manifest of the run carries the run's wall, stage walls and
     # shard ids, so a reader counts a shared run once
     wall = time.perf_counter() - t0
     run_shards = [p.shard_id for p in plans]
     for plan in plans:
         sid = plan.shard_id
-        part_dir = os.path.join(out_dir, f"part-{sid:05d}")
-        _commit_dir(_partition_dir(tmp_dir, sid), part_dir)  # atomic data commit
+        part_dir = dirs[sid]
         st = _written_stats(part_dir)
         manifest = {
             "partition_id": sid,
@@ -404,7 +384,6 @@ def _run_pending(
         with open(tmp_m, "w") as f:
             json.dump(manifest, f, indent=2)
         os.replace(tmp_m, mpath)  # manifest commit last
-    shutil.rmtree(tmp_dir)
 
 
 def _manifest_valid(manifest: dict, plan: ShardPlan, n_shards: int, sig: str) -> bool:
@@ -538,7 +517,7 @@ def run_job(
                         os.path.join(surv_dir, f), columns=["doc_id"]
                     ).column("doc_id").to_pylist()
                 )
-        survivors_ref = ray.put(surv)
+        survivors_ref = ray.put(pa.array(sorted(surv)))
     done: set[int] = set()
     invalidated: list[int] = []
     for sid in completed_shards(out_dir):
@@ -555,7 +534,7 @@ def run_job(
                 )
             continue
         if not resume:
-            continue  # shard reruns anyway; manifest will be overwritten
+            continue  # shard reruns; its run removes the manifest first
         with open(_manifest_path(out_dir, sid)) as f:
             manifest = json.load(f)
         if _manifest_valid(manifest, plans[sid], n_shards, sig):

@@ -40,7 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--dedup", choices=["none", "exact"], default="none",
                    help="whole-document exact-dedup pre-pass before "
                         "extraction (survivors committed under out/dedup)")
-    p.add_argument("--max-side", type=int, default=1200)
+    p.add_argument("--max-side", type=int, default=None,
+                   help="preprocess bound; default OCR_MAX_SIDE, else 1200")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init(num_cpus=...) when starting a fresh local session")
     p.add_argument("--target-block-size-mb", type=int, default=None,
@@ -74,8 +75,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.target_block_size_mb:
         ctx.target_max_block_size = args.target_block_size_mb * 1024 * 1024
 
+    import dataclasses
+
     from .checkpoint import run_job
     from .kernels.extract import ExtractConfig
+
+    # env fallbacks (OCR_MAX_SIDE, CRAFT_MAX_SIDE); a given flag wins
+    cfg = ExtractConfig.from_env()
+    if args.max_side is not None:
+        cfg = dataclasses.replace(cfg, max_side=args.max_side)
 
     overrides = None
     result_overrides = None
@@ -91,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         args.input,
         args.output,
         n_shards=args.shards,
-        cfg=ExtractConfig(max_side=args.max_side),
+        cfg=cfg,
         overrides=overrides,
         resume=not args.no_resume,
         two_phase=args.two_phase,

@@ -37,7 +37,6 @@ class ExtractConfig:
 
     max_side: int = DEFAULT_MAX_SIDE      # preprocess bound (OCR_MAX_SIDE default 1200)
     detect_max_side: int = 0              # CRAFT max_side — shipped config leaves it off
-    drop_empty_text_spans: bool = True    # normalize may empty a boilerplate-only span
 
     @classmethod
     def from_env(cls) -> "ExtractConfig":
@@ -336,7 +335,7 @@ def extract_document(
     Input spans: dicts with kind/text/media_ref/offset (input order = offset
     order; we sort by (offset, input index) to be explicit). Output spans:
     - kind='text': normalized native text (dropped if empty after
-      normalization when cfg.drop_empty_text_spans);
+      normalization: normalize may empty a boilerplate-only span);
     - kind='image': one span per recognized block in reading order, text =
       recognized text, media_ref preserved; zero-box images emit nothing
       (reference: page with no boxes -> empty block list,
@@ -349,7 +348,7 @@ def extract_document(
         sp = spans[i]
         if sp["kind"] == "text":
             t = normalize_text(sp["text"] or "")
-            if t or not cfg.drop_empty_text_spans:
+            if t:
                 out.append({"kind": "text", "text": t, "media_ref": "", "offset": len(out)})
         elif sp["kind"] == "image":
             ov = overrides.get(i) if overrides else None

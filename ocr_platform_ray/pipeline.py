@@ -6,7 +6,7 @@ Physical design (SURVEY §4, §7.4):
 - skew (north_rule): one mechanism, sized once at ingest. The bench
   corpus's read splits into 2 x CPU blocks (below), so every CPU has
   stage tasks at any CPU count; the stage maps over whole blocks and
-  walks each in bounded 32-doc kernel batches (``uniform_batch_size``).
+  walks each in bounded 32-doc kernel batches (``BATCH_DOCS``).
   Every span of a doc lives in its row, so no doc is ever split across
   batches and nothing re-shuffles rows by cost. On the bench corpus
   (sf0.1: image spans per doc mean 3, p99 35, max 40) a 32-doc batch's
@@ -14,10 +14,14 @@ Physical design (SURVEY §4, §7.4):
   boundary used to be selectable; it measured +4 s at sf0.1 and was
   slower at every point of a heavy-tail grid (BENCH/BASELINE.md), so it
   is gone;
-- one stage class, ``ExtractStage``, runs every extraction Dataset: the
+- one builder, ``build_extract_pipeline``, makes every extraction
+  Dataset (normalize, then the one stage class, ``ExtractStage``): the
   fused run (recognize on), the two-phase detect phase (recognize off; it
   writes the ``detect`` checkpoint column) and the recognize phase
-  (recognize on over that column), so the two paths cannot drift;
+  (recognize on over that column), so the two paths cannot drift. The
+  recognize phase normalizes text the detect phase already normalized; a
+  no-op, since normalize is idempotent, and the map fuses into the
+  stage's operator;
 - the stage is a task map over a callable stage instance: stage state
   (glyph templates) is built at import once per worker process, and Ray
   reuses task workers across Datasets in a session, so no actor pool
@@ -48,8 +52,8 @@ Physical design (SURVEY §4, §7.4):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -59,16 +63,18 @@ import ray.data as rd
 
 from .corpus import spans_from_document
 from .kernels.extract import ExtractConfig
-from .stages.extract import BATCH_DOCS, ExtractStage
+from .functions import resolve_broadcast
+from .stages.extract import BATCH_DOCS, ExtractStage, overrides_to_lookup
 from .stages.normalize import normalize_spans_batch
 
 
 @dataclass
 class PipelineOptions:
-    """The extraction path's two settings: the docs per kernel batch inside
-    a stage call and the retry budget of every task."""
+    """The extraction path's one setting, the retry budget of every task.
+    ``uniform_batch_size``, the docs per kernel batch inside a stage call,
+    is fixed at ``BATCH_DOCS``."""
 
-    uniform_batch_size: int = BATCH_DOCS
+    uniform_batch_size: ClassVar[int] = BATCH_DOCS
     # retry budget (reference: Celery autoretry <=3/<=2, ocr_tasks.py:58-65;
     # here: per-task retries of a crashed worker, lineage re-executes
     # blocks). Ray Data's task default retries forever, so a poison row
@@ -161,19 +167,14 @@ def scope_tenant(ds: rd.Dataset, tenant_id: str) -> rd.Dataset:
     return ds.map_batches(in_tenant, **PipelineOptions().task_kwargs())
 
 
-def _prepared(ds: rd.Dataset, opts: PipelineOptions) -> rd.Dataset:
-    """Cheap vectorized prefix: text normalize."""
-    return ds.map_batches(normalize_spans_batch, **opts.task_kwargs())
-
-
 def _stage_map(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
     """``stage`` (a callable stage instance) as one task map over whole
     blocks; the stage bounds its own kernel batches (``ExtractStage``
-    walks a block ``uniform_batch_size`` docs at a time). It takes
+    walks a block ``BATCH_DOCS`` docs at a time). It takes
     ``task_kwargs`` like every other map on the path and sets no batch
     size, so the read and the maps before it and the write after it fuse
     into its operator, one task per input block, and no pool starts per
-    Dataset. The trade-off: a block under ``uniform_batch_size`` docs is
+    Dataset. The trade-off: a block under ``BATCH_DOCS`` docs is
     one task of its own, never bundled with the next block, so an input
     of many tiny files makes many small tasks.
 
@@ -194,15 +195,19 @@ def build_extract_pipeline(
     cfg: ExtractConfig | None = None,
     opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
+    recognize: bool = True,
 ) -> rd.Dataset:
-    """Flagship fused pipeline: docs -> normalize -> ``ExtractStage`` ->
-    extracted span sequences. Overrides (human-edit analogue) are
-    broadcast once via ``ray.put``."""
-    cfg = cfg or ExtractConfig()
+    """Every extraction Dataset: docs -> normalize -> ``ExtractStage`` ->
+    extracted span sequences, or, with ``recognize`` off, doc rows with
+    the ``detect`` checkpoint column (reference run_job -> DETECT_DONE).
+    Over a detect checkpoint the stage takes each span's boxes from its
+    ``detect`` entry (reference run_ocr_job). Overrides (human-edit
+    analogue) are indexed on the driver and broadcast once via
+    ``ray.put``."""
     opts = opts or PipelineOptions()
-    ov_ref = ray.put(overrides) if overrides else None
-    stage = ExtractStage(cfg, ov_ref, batch_size=opts.uniform_batch_size)
-    return _stage_map(_prepared(ds, opts), stage, opts)
+    ov_ref = ray.put(overrides_to_lookup(overrides)) if overrides else None
+    ds = ds.map_batches(normalize_spans_batch, **opts.task_kwargs())
+    return _stage_map(ds, ExtractStage(cfg, ov_ref, recognize), opts)
 
 
 def apply_result_overrides(
@@ -229,19 +234,11 @@ def apply_result_overrides(
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _result_override_table(ov_ref) -> dict:
-    """Per-worker memo of a broadcast result-override table, keyed by its
-    ObjectRef: fetched once per process, not per batch. Callers only read
-    the returned dict."""
-    return ray.get(ov_ref)
-
-
 def _override_results(ov_ref):
     def override_results(batch: pa.Table) -> pa.Table:
         import numpy as np
 
-        ov = _result_override_table(ov_ref)
+        ov = resolve_broadcast(ov_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         hit = np.fromiter((d in ov for d in doc_ids), dtype=bool, count=len(doc_ids))
         if not hit.any():
@@ -289,35 +286,3 @@ def _override_results(ov_ref):
         return combined.take(pa.array(inv))
 
     return override_results
-
-
-def build_detect_pipeline(
-    ds: rd.Dataset,
-    cfg: ExtractConfig | None = None,
-    opts: PipelineOptions | None = None,
-) -> rd.Dataset:
-    """Two-phase, phase 1 (reference run_job -> DETECT_DONE): the same
-    ``ExtractStage`` with recognize off emits doc rows with the embedded
-    ``detect`` column. Checkpoint this to parquet."""
-    cfg = cfg or ExtractConfig()
-    opts = opts or PipelineOptions()
-    stage = ExtractStage(cfg, recognize=False, batch_size=opts.uniform_batch_size)
-    return _stage_map(_prepared(ds, opts), stage, opts)
-
-
-def build_recognize_pipeline(
-    detected: rd.Dataset,
-    cfg: ExtractConfig | None = None,
-    opts: PipelineOptions | None = None,
-    overrides: list[dict] | None = None,
-) -> rd.Dataset:
-    """Two-phase, phase 2 (reference run_ocr_job): ``ExtractStage`` over
-    the detect checkpoint takes each span's boxes from its ``detect``
-    entry (or its override, the human edit) instead of detecting, and
-    emits extracted span sequences. Input rows already carry ``detect``
-    and normalized text, so no prefix map runs."""
-    cfg = cfg or ExtractConfig()
-    opts = opts or PipelineOptions()
-    ov_ref = ray.put(overrides) if overrides else None
-    stage = ExtractStage(cfg, ov_ref, batch_size=opts.uniform_batch_size)
-    return _stage_map(detected, stage, opts)

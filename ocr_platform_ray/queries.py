@@ -1415,11 +1415,10 @@ def q_detect_boxes(sf_dir: str) -> rd.Dataset:
     checkpoint made queryable (rows-only check)."""
     import pyarrow.compute as _pc
 
-    from .pipeline import build_detect_pipeline
     from .stages.extract import detect_rows_view
 
     ds = corpus_from_documents(sf_dir)
-    detected = build_detect_pipeline(ds, opts=PipelineOptions())
+    detected = build_extract_pipeline(ds, opts=PipelineOptions(), recognize=False)
     view = detected.map_batches(detect_rows_view, batch_format="pyarrow")
 
     def project(batch: pa.Table) -> pa.Table:

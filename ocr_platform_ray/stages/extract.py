@@ -5,32 +5,31 @@ Mirrors the reference's per-process model singletons (``@lru_cache``
 detector/recognizer — /root/reference/libs/ocr_core/ocr_core/pipeline/
 detect.py:68-82, engines/vietocr_engine.py:47-53): state is per worker
 process — glyph templates build when this module is imported, and the
-broadcast override table is resolved once per process, memoized by its
-ref. A stage instance holds only its config, that ref, whether it
-recognizes and its batch size; ``__call__`` processes an Arrow block of
-document rows ``batch_size`` docs at a time. Deploy as a task map over
-whole blocks, ``ds.map_batches(ExtractStage(cfg, overrides_ref),
-batch_size=None)``, under the remote args every other task on the path
-takes (``pipeline.PipelineOptions.task_kwargs``), so the read, the maps
-and the write around it fuse into its operator.
+broadcast override lookup is resolved once per process
+(``functions.resolve_broadcast``, memoized by its ref). A stage instance
+holds only its config, that ref and whether it recognizes; ``__call__``
+processes an Arrow block of document rows ``BATCH_DOCS`` docs at a time.
+Deploy as a task map over whole blocks, ``ds.map_batches(ExtractStage(cfg,
+overrides_ref), batch_size=None)``, under the remote args every other
+task on the path takes (``pipeline.PipelineOptions.task_kwargs``), so
+the read, the maps and the write around it fuse into its operator.
 
 Per batch, the heavy work runs batch-wide in ``kernels.extract.
 extract_batch``: render into one canvas per raster shape, detect once
 per canvas, crop and strip-split every box in array passes, decode every
 strip at once; row iteration is only orchestration. Overrides are the
-human-edit analogue (PATCH /jobs/{id}/detect): a small table broadcast
-once via ``ray.put`` — never re-shipped per batch or pickled into the
-task.
+human-edit analogue (PATCH /jobs/{id}/detect): a small table indexed on
+the driver (``overrides_to_lookup``) and broadcast once via ``ray.put`` —
+never re-shipped per batch or pickled into the task.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pyarrow as pa
 
 from .. import font  # noqa: F401  (imported so templates build once per worker)
+from ..functions import resolve_broadcast
 from ..kernels.extract import ExtractConfig, Extracted, extract_batch
 from ..schema import BOX_STRUCT, EXTRACTED_SCHEMA, SPAN_STRUCT
 
@@ -62,18 +61,6 @@ def _with_passthrough(out: pa.Table, batch: pa.Table) -> pa.Table:
             continue
         out = out.append_column(name, batch.column(name))
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def _override_lookup(overrides_ref) -> dict:
-    """Per-worker memo of a broadcast override table's lookup, keyed by its
-    ObjectRef: resolved and indexed once per process, not per batch. The
-    returned dict is shared by every caller, which only reads it."""
-    if overrides_ref is None:
-        return {}
-    import ray
-
-    return overrides_to_lookup(ray.get(overrides_ref))
 
 
 def _spans_flat(batch: pa.Table):
@@ -109,7 +96,6 @@ def _assemble_batch(
     texts: list,
     refs: list,
     offs: np.ndarray,
-    cfg: ExtractConfig,
     res: Extracted,
     res_at: np.ndarray,
     base_errors,
@@ -144,7 +130,7 @@ def _assemble_batch(
             k = kinds[j]
             if k == "text":
                 t = texts[j]
-                if t or not cfg.drop_empty_text_spans:
+                if t:
                     out_kind.append("text")
                     out_text.append(t)
                     out_ref.append("")
@@ -230,8 +216,9 @@ class ExtractStage:
     counted, so it is skipped); otherwise detection. Every span then goes
     through one ``extract_batch`` call, and the result merges back in
     offset order, row-local (every span of a doc lives in its row).
+    ``overrides_ref`` is a ``ray.put`` of ``overrides_to_lookup(rows)``.
 
-    A call takes a whole block and runs it ``batch_size`` rows at a time;
+    A call takes a whole block and runs it ``BATCH_DOCS`` rows at a time;
     rows are independent, so the result equals one call per slice,
     concatenated (an empty block still yields the output schema)."""
 
@@ -240,21 +227,19 @@ class ExtractStage:
         cfg: ExtractConfig | None = None,
         overrides_ref=None,
         recognize: bool = True,
-        batch_size: int = BATCH_DOCS,
     ):
         self.cfg = cfg or ExtractConfig()
         self.overrides_ref = overrides_ref
         self.recognize = recognize
-        self.batch_size = batch_size
 
     def __call__(self, block: pa.Table) -> pa.Table:
-        n = self.batch_size
+        n = BATCH_DOCS
         return pa.concat_tables(
             [self._batch(block.slice(i, n)) for i in range(0, max(block.num_rows, 1), n)]
         )
 
     def _batch(self, batch: pa.Table) -> pa.Table:
-        overrides = _override_lookup(self.overrides_ref)
+        overrides = {} if self.overrides_ref is None else resolve_broadcast(self.overrides_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
         names = batch.column_names
@@ -298,7 +283,7 @@ class ExtractStage:
         res_at = np.full(len(kinds), -1, dtype=np.int64)
         res_at[sel_j] = np.arange(len(sel_j))
         out = _assemble_batch(
-            doc_ids, off, kinds, texts, refs, offs, self.cfg, res, res_at, base_errors
+            doc_ids, off, kinds, texts, refs, offs, res, res_at, base_errors
         )
         return _with_passthrough(out, batch)
 

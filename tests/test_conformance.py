@@ -13,11 +13,7 @@ import ray.data as rd
 
 from ocr_platform_ray import corpus, oracle
 from ocr_platform_ray.kernels.extract import ExtractConfig
-from ocr_platform_ray.pipeline import (
-    build_detect_pipeline,
-    build_extract_pipeline,
-    build_recognize_pipeline,
-)
+from ocr_platform_ray.pipeline import build_extract_pipeline
 
 N_DOCS = 120
 SEED = 42
@@ -69,12 +65,24 @@ def test_two_phase_equals_fused(docs, expected, tmp_path):
     """Detect checkpoint -> recognize == fused (the reference's DETECT_DONE
     two-phase resume property)."""
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    detected = build_detect_pipeline(ds)
+    detected = build_extract_pipeline(ds, recognize=False)
     ckpt = str(tmp_path / "detect_ckpt")
     detected.write_parquet(ckpt)
     detected2 = rd.read_parquet(ckpt)
-    out = build_recognize_pipeline(detected2)
+    out = build_extract_pipeline(detected2)
     _assert_equal(_result_map(out), expected)
+
+
+def test_normalize_is_idempotent():
+    """The one builder normalizes every phase's input, so the recognize
+    phase normalizes a detect checkpoint's text again: that must be a
+    no-op over the whole batch."""
+    from ocr_platform_ray.stages.normalize import normalize_spans_batch
+
+    raw = corpus.docs_to_table(corpus.generate_docs(300, seed=SEED))
+    once = normalize_spans_batch(raw)
+    assert not once.equals(raw)  # the corpus has text to normalize
+    assert normalize_spans_batch(once).equals(once)
 
 
 def test_overrides_applied(docs):
@@ -91,22 +99,41 @@ def test_overrides_applied(docs):
     assert any(expected_ov[d] != base[d] for d in base)
 
 
-def test_override_table_resolved_once_per_process(docs):
-    """A stage instance ships only the override table's ref (it is pickled
-    into every task); the table is fetched and indexed once per worker
-    process, memoized by that ref."""
+def _count_fetches(monkeypatch) -> list:
+    """Clear the per-process broadcast cache and record every object-store
+    fetch made while resolving a broadcast."""
+    import ray
+
+    from ocr_platform_ray import functions
+
+    fetched = []
+    real_get = ray.get
+
+    def spy_get(ref, *a, **kw):
+        fetched.append(ref)
+        return real_get(ref, *a, **kw)
+
+    monkeypatch.setattr(functions, "_BROADCAST_CACHE", {})
+    monkeypatch.setattr(ray, "get", spy_get)
+    return fetched
+
+
+def test_override_table_resolved_once_per_process(docs, monkeypatch):
+    """A stage instance ships only the ref of the override lookup, which
+    the driver indexes once (it is pickled into every task); the lookup
+    is fetched once per worker process, memoized by that ref."""
     import ray
 
     from ocr_platform_ray.stages import extract as stages
 
     ov = corpus.generate_overrides(docs, seed=7)
-    stage = stages.ExtractStage(ExtractConfig(), ray.put(ov))
-    assert vars(stage).keys() == {"cfg", "overrides_ref", "recognize", "batch_size"}
-    stages._override_lookup.cache_clear()
+    ov_ref = ray.put(stages.overrides_to_lookup(ov))
+    stage = stages.ExtractStage(ExtractConfig(), ov_ref)
+    assert vars(stage).keys() == {"cfg", "overrides_ref", "recognize"}
+    fetched = _count_fetches(monkeypatch)
     batch = corpus.docs_to_table(docs[:8])
     assert stage(batch) == stage(batch)
-    info = stages._override_lookup.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert fetched == [ov_ref]
 
 
 def test_result_overrides_applied(docs):
@@ -143,7 +170,7 @@ def test_result_overrides_applied(docs):
         ] == spans
 
 
-def test_result_override_table_resolved_once_per_process(docs):
+def test_result_overrides_resolved_once_per_process(docs, monkeypatch):
     """The result-override map ships only the table's ref; the table is
     fetched once per worker process, memoized by that ref."""
     import ray
@@ -153,14 +180,14 @@ def test_result_override_table_resolved_once_per_process(docs):
 
     target = docs[0]["doc_id"]
     table = {target: [{"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}
-    fn = pipeline._override_results(ray.put(table))
+    ref = ray.put(table)
+    fn = pipeline._override_results(ref)
     batch = ExtractStage(ExtractConfig())(corpus.docs_to_table(docs[:8]))
-    pipeline._result_override_table.cache_clear()
+    fetched = _count_fetches(monkeypatch)
     first, second = fn(batch), fn(batch)
     assert first == second
     assert first.column("spans_out")[0].as_py()[0]["text"] == "EDITED"
-    info = pipeline._result_override_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert fetched == [ref]
 
 
 def test_schema(docs):
@@ -241,7 +268,7 @@ def test_stage_batch_parity_mixed(detect_max_side):
 
     from ocr_platform_ray import media
     from ocr_platform_ray.kernels.extract import safe_extract_image_span
-    from ocr_platform_ray.stages.extract import ExtractStage
+    from ocr_platform_ray.stages.extract import ExtractStage, overrides_to_lookup
     from ocr_platform_ray.stages.normalize import normalize_spans_batch
 
     cfg = ExtractConfig(detect_max_side=detect_max_side)
@@ -291,7 +318,7 @@ def test_stage_batch_parity_mixed(detect_max_side):
     assert sum(want_err.values()) == 4  # the malformed and 0x10 refs
 
     batch = normalize_spans_batch(corpus.docs_to_table(docs))
-    ov_ref = ray.put(ov)
+    ov_ref = ray.put(overrides_to_lookup(ov))
     for out in (
         ExtractStage(cfg, ov_ref)(batch),
         ExtractStage(cfg, ov_ref)(ExtractStage(cfg, recognize=False)(batch)),
@@ -326,7 +353,7 @@ def stage_blocks(docs):
 @pytest.mark.parametrize("n_rows", [0, 1, 32, 33, 75])
 def test_stage_walks_a_block_in_bounded_batches(stage_blocks, monkeypatch, phase, n_rows):
     """The stage maps over whole blocks and walks each in
-    ``uniform_batch_size``-doc slices: its output on a block equals one
+    ``BATCH_DOCS``-doc slices: its output on a block equals one
     call per 32-row slice, concatenated (an empty block keeps the output
     schema), and no kernel batch holds more than 32 docs."""
     from ocr_platform_ray.pipeline import PipelineOptions
@@ -334,7 +361,7 @@ def test_stage_walks_a_block_in_bounded_batches(stage_blocks, monkeypatch, phase
 
     bs = PipelineOptions().uniform_batch_size
     assert bs == 32
-    stage = stages.ExtractStage(recognize=phase != "detect", batch_size=bs)
+    stage = stages.ExtractStage(recognize=phase != "detect")
     block = stage_blocks[phase].slice(0, n_rows)
     want = [stage(block.slice(i, bs)) for i in range(0, n_rows, bs)]
 

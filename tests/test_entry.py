@@ -90,6 +90,31 @@ def test_readme_counts_match_registry():
     assert n_oracles == {len(oracle_sql())}
 
 
+@pytest.mark.parametrize("argv, max_side", [([], 900), (["--max-side", "700"], 700)])
+def test_job_config_reads_env_fallbacks(tmp_path, monkeypatch, argv, max_side):
+    """The job builds its config with ``ExtractConfig.from_env``: the
+    reference's OCR_MAX_SIDE / CRAFT_MAX_SIDE fallbacks reach the config
+    ``run_job`` receives, and a given ``--max-side`` wins over the env."""
+    import ray
+
+    from ocr_platform_ray import checkpoint, job
+
+    got = {}
+
+    def fake_run_job(*args, **kwargs):
+        got.update(kwargs)
+        return {}
+
+    monkeypatch.setenv("OCR_MAX_SIDE", "900")
+    monkeypatch.setenv("CRAFT_MAX_SIDE", "640")
+    monkeypatch.setattr(checkpoint, "run_job", fake_run_job)
+    monkeypatch.setattr(ray, "shutdown", lambda: None)  # keep the test session
+    path = str(tmp_path / "docs.parquet")
+    assert job.main(["--input", path, "--output", str(tmp_path / "out")] + argv) == 0
+    assert got["cfg"].detect_max_side == 640
+    assert got["cfg"].max_side == max_side
+
+
 @pytest.mark.slow
 def test_job_cli_runs_and_resumes(tmp_path):
     corpus_path = tmp_path / "docs.parquet"

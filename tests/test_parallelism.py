@@ -88,11 +88,11 @@ try:
     print("stage_calls", len(calls), "rows", len(rows))
     print("overlap", overlap)
 
-    # 2. no build_* call writes the global context
+    # 2. no extraction Dataset writes the global context
     docs_ds = rd.from_arrow(pa.table({"doc_id": ["x"], "spans": [[]]}))
     pipeline.build_extract_pipeline(docs_ds)
-    pipeline.build_detect_pipeline(docs_ds)
-    pipeline.build_recognize_pipeline(docs_ds.map_batches(consume))
+    pipeline.build_extract_pipeline(docs_ds, recognize=False)
+    pipeline.build_extract_pipeline(docs_ds.map_batches(consume))
     after = rd.DataContext.get_current().op_resource_reservation_enabled
     print("global_unchanged", before == after)
 
@@ -134,16 +134,15 @@ try:
     shard_path = os.path.join(work, "shard.parquet")
     pq.write_table(shard, shard_path)
     built = []
+    build = checkpoint.build_extract_pipeline
 
-    def capture(build):
-        def wrapped(*args, **kwargs):
-            built.append((build.__name__, build(*args, **kwargs)))
-            return built[-1][1]
-        return wrapped
+    def capture(*args, **kwargs):
+        # keyed by phase: a fused run's one phase recognizes too
+        phase = "recognize" if kwargs.get("recognize", True) else "detect"
+        built.append((phase, build(*args, **kwargs)))
+        return built[-1][1]
 
-    for name in ("build_detect_pipeline", "build_recognize_pipeline",
-                 "build_extract_pipeline"):
-        setattr(checkpoint, name, capture(getattr(checkpoint, name)))
+    checkpoint.build_extract_pipeline = capture
 
     def print_ops(tag):
         for name, ds in built:
@@ -238,7 +237,7 @@ def test_no_operator_between_read_and_stage(child_out):
 
 
 def _phase_ops(out: str, tag: str) -> dict:
-    """{build function name: [its Dataset's operator lines, ...] per run}."""
+    """{phase: [its Dataset's operator lines, ...] per run}."""
     got: dict = {}
     for ln in out.splitlines():
         if ln.startswith(tag + " "):
@@ -256,7 +255,7 @@ def test_job_detect_phase_is_read_then_stage(child_out):
     split into blocks (Ray Data never fuses a split read), then the
     stage's operator."""
     out, err = child_out
-    ops = _phase_ops(out, "hash_op").get("build_detect_pipeline")
+    ops = _phase_ops(out, "hash_op").get("detect")
     assert ops and len(ops) == 1, out or err
     assert re.match(r"Operator 1 ReadParquet->SplitBlocks", ops[0][0]), ops
     _assert_read_then_stage(ops[0])
@@ -272,7 +271,7 @@ def test_hash_shards_read_their_input_once(child_out):
     operator (a Dataset per shard and phase would make 8)."""
     out, err = child_out
     phases = _phase_ops(out, "hash_op")
-    assert sorted(phases) == ["build_detect_pipeline", "build_recognize_pipeline"], out or err
+    assert sorted(phases) == ["detect", "recognize"], out or err
     for name, runs in phases.items():
         assert len(runs) == 1, (name, runs)
         assert sum(bool(re.match(r"Operator \d+ ReadParquet", op)) for op in runs[0]) == 1, (
@@ -281,20 +280,20 @@ def test_hash_shards_read_their_input_once(child_out):
 
 def test_job_phases_are_one_operator(child_out):
     """Over two shards of 2 x CPU files each, the detect and recognize
-    phases of a two-phase run and the one phase of a fused run are each
-    one Dataset of exactly one operator,
-    ``ReadParquet->...->MapBatches(ExtractStage)->Write``, with 2 x CPU
-    tasks (Ray groups the 8 small files into 4 read tasks), so no phase
-    collapses into fewer than 2 x CPU tasks."""
+    phases of a two-phase run and the one phase of a fused run (a
+    recognize phase over the input) are each one Dataset of exactly one
+    operator, ``ReadParquet->...->MapBatches(ExtractStage)->Write``, with
+    2 x CPU tasks (Ray groups the 8 small files into 4 read tasks), so no
+    phase collapses into fewer than 2 x CPU tasks."""
     out, err = child_out
     phases = _phase_ops(out, "files_op")
-    assert sorted(phases) == [
-        "build_detect_pipeline", "build_extract_pipeline", "build_recognize_pipeline",
-    ], out or err
+    assert {name: len(runs) for name, runs in phases.items()} == {
+        "detect": 1, "recognize": 2,
+    }, out or err
     for name, runs in phases.items():
-        assert len(runs) == 1, (name, runs)
-        assert len(runs[0]) == 1, (name, runs)
-        assert re.match(
-            r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->(.*->)?"
-            r"MapBatches\(ExtractStage\)->Write: 4 tasks executed", runs[0][0]
-        ), (name, runs)
+        for run in runs:
+            assert len(run) == 1, (name, runs)
+            assert re.match(
+                r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->(.*->)?"
+                r"MapBatches\(ExtractStage\)->Write: 4 tasks executed", run[0]
+            ), (name, runs)

@@ -223,6 +223,33 @@ def test_shard_retry_backoff(input_path, tmp_path, monkeypatch):
         assert f.read() == kept
 
 
+def test_rerun_removes_manifest_before_replacing_its_shard(input_path, tmp_path, monkeypatch):
+    """A rerun of committed shards (``resume=False`` keeps the old
+    manifests) removes a shard's manifest before its directory is
+    replaced: when the commit fails before the new manifest lands, no old
+    manifest certifies the new data, and a resume reruns the shard."""
+    import ocr_platform_ray.checkpoint as cp
+
+    fresh = str(tmp_path / "fresh")
+    run_job(input_path, fresh, n_shards=2)
+    out = str(tmp_path / "out")
+    run_job(input_path, out, n_shards=2)
+    real_sha = cp._content_sha256
+
+    def fail_shard_1(part_dir):
+        if part_dir.endswith("part-00001"):
+            raise OSError("disk gone")
+        return real_sha(part_dir)
+
+    monkeypatch.setattr(cp, "_content_sha256", fail_shard_1)
+    with pytest.raises(OSError, match="disk gone"):
+        run_job(input_path, out, n_shards=2, resume=False, shard_retries=0)
+    assert not os.path.exists(os.path.join(out, "manifest", "part-00001.json"))
+    monkeypatch.setattr(cp, "_content_sha256", real_sha)
+    assert run_job(input_path, out, n_shards=2)["shards_ran"] == [1]
+    assert _read_all(out) == _read_all(fresh)
+
+
 def test_run_manifests_share_run_fields(input_path, tmp_path):
     """Every shard of one run is committed from the same Datasets: their
     manifests share ``run_shards`` (the run's shard ids), ``stage_times``

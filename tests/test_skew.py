@@ -10,11 +10,7 @@ import ray.data as rd
 
 from ocr_platform_ray import corpus, media, oracle
 from ocr_platform_ray.kernels.extract import ExtractConfig
-from ocr_platform_ray.pipeline import (
-    build_detect_pipeline,
-    build_extract_pipeline,
-    build_recognize_pipeline,
-)
+from ocr_platform_ray.pipeline import build_extract_pipeline
 
 
 def _heavy_tail_docs():
@@ -72,7 +68,8 @@ def test_heavy_tail_two_phase_extracts_correctly(tmp_path):
     docs = _heavy_tail_docs()
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
     ckpt = str(tmp_path / "detect")
-    build_detect_pipeline(rd.from_arrow(corpus.docs_to_table(docs))).write_parquet(ckpt)
-    got = _spans_by_doc(build_recognize_pipeline(rd.read_parquet(ckpt)))
+    detected = build_extract_pipeline(rd.from_arrow(corpus.docs_to_table(docs)), recognize=False)
+    detected.write_parquet(ckpt)
+    got = _spans_by_doc(build_extract_pipeline(rd.read_parquet(ckpt)))
     assert got == expected
     assert len(got["doc-heavy"]) == 60
