@@ -58,7 +58,7 @@ import ray.data as rd
 
 from .functions import resolve_broadcast
 from .kernels.extract import ExtractConfig
-from .pipeline import PipelineOptions, apply_result_overrides, build_extract_pipeline
+from .pipeline import PipelineOptions, build_extract_pipeline, scope_tenant
 from .rng import hash_str, hash_str_np
 
 # The column that tags each row of a run with its shard id. The phase
@@ -252,7 +252,6 @@ def _written_stats(part_dir: str) -> dict:
     """Lineage stats of a written shard, read in-process from just the
     parquet columns they need (no Dataset re-scan). A shard with no rows
     has no parquet file."""
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     files = sorted(
@@ -312,16 +311,14 @@ def _run_pending(
     DETECT_DONE -> run_ocr_job): the detect phase commits under
     ``detect/part-NNNNN`` (the human-editable intermediate) and the
     output phase reads it back; output is identical to the fused path.
-    ``result_overrides`` (PATCH result analogue) replaces whole extracted
-    span sequences at merge, after either path."""
+    ``overrides`` and ``result_overrides`` (PATCH detect and result
+    analogues) reach the last phase's stage as one edit table."""
     t0 = time.perf_counter()
     ds = _pending_dataset(plans)
     if tenant is not None:
         # tenant-scoped run (reference: every job is tenant-filtered,
         # routes_jobs.py:52-63); part of config_sig, so switching tenants
         # on the same output dir invalidates and reruns the shards
-        from .pipeline import scope_tenant
-
         ds = scope_tenant(ds, tenant)
     if survivors_ref is not None:
         # dedup pre-pass survivors (broadcast once): non-survivor docs are
@@ -346,8 +343,8 @@ def _run_pending(
         if detected:
             ds = _read_tagged(detected)
     t = time.perf_counter()
-    out = apply_result_overrides(
-        build_extract_pipeline(ds, cfg, overrides=overrides), result_overrides
+    out = build_extract_pipeline(
+        ds, cfg, overrides=overrides, result_overrides=result_overrides
     )
     dirs = _run_phase(out, out_dir, out_dir, plans, "recognize" if two_phase else "extract")
     if two_phase:
@@ -466,8 +463,10 @@ def run_job(
     recomputes only its shard, never the corpus.
 
     ``dedup="exact"`` runs a whole-document exact-dedup pre-pass over the
-    full input (vectorized span-signature hash; the shuffle carries only
-    16-byte signatures), commits the survivor doc_id list under
+    full input, scoped to ``tenant`` when one is given, so a doc is never
+    dropped for a copy another tenant holds (vectorized span-signature
+    hash; the shuffle carries only 16-byte signatures), commits the
+    survivor doc_id list under
     ``out_dir/dedup/`` (atomic, reused on resume), and the run drops
     non-survivors before extraction — the training-data composition
     read -> dedup -> extract."""
@@ -501,9 +500,9 @@ def run_job(
             tmp = os.path.join(out_dir, ".tmp-dedup")
             shutil.rmtree(tmp, ignore_errors=True)
             os.makedirs(tmp, exist_ok=True)
-            full = rd.read_parquet(
-                inputs if plans[0].files else plans[0].input_path
-            )
+            full = _pending_dataset(plans)
+            if tenant is not None:
+                full = scope_tenant(full, tenant)
             dedup_survivor_doc_ids(full).write_parquet(tmp)
             with open(os.path.join(tmp, "meta.json"), "w") as f:
                 json.dump(meta, f)

@@ -26,7 +26,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--result-overrides",
                    help="optional result-override table (parquet, "
                         "RESULT_OVERRIDES_SCHEMA): per-doc replacement span "
-                        "sequences applied at merge (PATCH result analogue)")
+                        "sequences that replace a doc's extracted spans "
+                        "(PATCH result analogue)")
     p.add_argument("--two-phase", action="store_true",
                    help="persist the detect checkpoint (human-editable) and recognize from it")
     p.add_argument("--rerun-docs", default=None,
@@ -44,8 +45,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="preprocess bound; default OCR_MAX_SIDE, else 1200")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init(num_cpus=...) when starting a fresh local session")
-    p.add_argument("--target-block-size-mb", type=int, default=None,
-                   help="DataContext.target_max_block_size for wide binary rows")
     args = p.parse_args(argv)
 
     from .checkpoint import plan_shards
@@ -70,10 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     from .raylog import suppress_empty_sort_schema_warning
 
     suppress_empty_sort_schema_warning()
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    if args.target_block_size_mb:
-        ctx.target_max_block_size = args.target_block_size_mb * 1024 * 1024
+    DataContext.get_current().enable_progress_bars = False
 
     import dataclasses
 

@@ -22,6 +22,10 @@ Physical design (SURVEY §4, §7.4):
   recognize phase normalizes text the detect phase already normalized; a
   no-op, since normalize is idempotent, and the map fuses into the
   stage's operator;
+- both human edits resolve inside that stage from one broadcast edit
+  table: box overrides replace a span's boxes before extraction, result
+  overrides replace a row's spans as it is assembled, so no map follows
+  the stage and no row is re-materialized after it;
 - the stage is a task map over a callable stage instance: stage state
   (glyph templates) is built at import once per worker process, and Ray
   reuses task workers across Datasets in a session, so no actor pool
@@ -29,8 +33,8 @@ Physical design (SURVEY §4, §7.4):
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
 - every task on the extraction path (the reads, the job's shard tag,
-  tenant scope and dedup-survivor filter, normalize, the stage, the
-  result overrides and the job's writes) takes the same remote args,
+  tenant scope and dedup-survivor filter, normalize, the stage and the
+  job's writes) takes the same remote args,
   ``PipelineOptions().remote_args()``, and the stage sets no batch size,
   so Ray Data fuses a checkpoint phase into one operator from the read
   to the write, one task per input block: an operator with different
@@ -63,7 +67,6 @@ import ray.data as rd
 
 from .corpus import spans_from_document
 from .kernels.extract import ExtractConfig
-from .functions import resolve_broadcast
 from .stages.extract import BATCH_DOCS, ExtractStage, overrides_to_lookup
 from .stages.normalize import normalize_spans_batch
 
@@ -196,93 +199,22 @@ def build_extract_pipeline(
     opts: PipelineOptions | None = None,
     overrides: list[dict] | None = None,
     recognize: bool = True,
+    result_overrides: list[dict] | None = None,
 ) -> rd.Dataset:
     """Every extraction Dataset: docs -> normalize -> ``ExtractStage`` ->
     extracted span sequences, or, with ``recognize`` off, doc rows with
     the ``detect`` checkpoint column (reference run_job -> DETECT_DONE).
     Over a detect checkpoint the stage takes each span's boxes from its
-    ``detect`` entry (reference run_ocr_job). Overrides (human-edit
-    analogue) are indexed on the driver and broadcast once via
-    ``ray.put``."""
+    ``detect`` entry (reference run_ocr_job). The human edits, box
+    overrides (PATCH /jobs/{id}/detect, routes_jobs.py:230-249) and
+    result overrides (PATCH /jobs/{id}/result, :252-270: a doc's whole
+    span sequence replaced), are indexed on the driver into one table and
+    broadcast once via ``ray.put``; with no edit nothing is put."""
     opts = opts or PipelineOptions()
-    ov_ref = ray.put(overrides_to_lookup(overrides)) if overrides else None
+    ov_ref = (
+        ray.put(overrides_to_lookup(overrides, result_overrides))
+        if overrides or result_overrides
+        else None
+    )
     ds = ds.map_batches(normalize_spans_batch, **opts.task_kwargs())
     return _stage_map(ds, ExtractStage(cfg, ov_ref, recognize), opts)
-
-
-def apply_result_overrides(
-    extracted: rd.Dataset, result_overrides: list[dict] | None
-) -> rd.Dataset:
-    """Human-edit analogue of PATCH /jobs/{id}/result
-    (/root/reference/apps/api/app/api/v1/routes_jobs.py:252-270 — the
-    job's whole result JSON is replaced): rows whose doc_id appears in the
-    override table get their span sequence replaced wholesale at merge
-    time. The table is broadcast once via ``ray.put`` (small side), never
-    re-shipped per batch, and fetched once per worker process. Aggregates
-    are recomputed from the replacement (confidences read 1.0 — the text
-    is human-verified, the reference stores no conf for edited results);
-    ``n_span_errors`` is preserved (the edit doesn't un-poison the source
-    media). The map takes the stage's remote args, so it fuses into the
-    stage's operator."""
-    if not result_overrides:
-        return extracted
-    ov_ref = ray.put(
-        {r["doc_id"]: list(r["spans_out"]) for r in result_overrides}
-    )
-    return extracted.map_batches(
-        _override_results(ov_ref), **PipelineOptions().task_kwargs()
-    )
-
-
-def _override_results(ov_ref):
-    def override_results(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ov = resolve_broadcast(ov_ref)
-        doc_ids = batch.column("doc_id").to_pylist()
-        hit = np.fromiter((d in ov for d in doc_ids), dtype=bool, count=len(doc_ids))
-        if not hit.any():
-            return batch
-        from .schema import EXTRACTED_SCHEMA
-        from .stages.extract import _with_passthrough
-
-        # Only the overridden rows (small side by construction) are
-        # materialized row-wise; every other row keeps its original Arrow
-        # buffers (filter is a zero-copy-ish mask, no to_pylist).
-        over_idx = np.flatnonzero(hit)
-        err_col = batch.column("n_span_errors")
-        over_rows = []
-        for i in over_idx:
-            spans = [
-                {
-                    "kind": s["kind"],
-                    "text": s["text"],
-                    "media_ref": s.get("media_ref", ""),
-                    "offset": j,
-                }
-                for j, s in enumerate(ov[doc_ids[i]])
-            ]
-            over_rows.append(
-                {
-                    "doc_id": doc_ids[i],
-                    "spans_out": spans,
-                    "n_spans_out": len(spans),
-                    "n_blocks": sum(1 for s in spans if s["kind"] == "image"),
-                    "min_conf": 1.0,
-                    "mean_conf": 1.0,
-                    "n_span_errors": err_col[int(i)].as_py(),
-                }
-            )
-        over_tbl = _with_passthrough(
-            pa.Table.from_pylist(over_rows, schema=EXTRACTED_SCHEMA),
-            batch.take(pa.array(over_idx)),
-        ).select(batch.column_names)
-        keep_tbl = batch.filter(pa.array(~hit))
-        combined = pa.concat_tables([keep_tbl, over_tbl])
-        # restore the batch's original row order
-        perm = np.concatenate([np.flatnonzero(~hit), over_idx])
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
-        return combined.take(pa.array(inv))
-
-    return override_results

@@ -5,7 +5,7 @@ Mirrors the reference's per-process model singletons (``@lru_cache``
 detector/recognizer — /root/reference/libs/ocr_core/ocr_core/pipeline/
 detect.py:68-82, engines/vietocr_engine.py:47-53): state is per worker
 process — glyph templates build when this module is imported, and the
-broadcast override lookup is resolved once per process
+broadcast edit table is resolved once per process
 (``functions.resolve_broadcast``, memoized by its ref). A stage instance
 holds only its config, that ref and whether it recognizes; ``__call__``
 processes an Arrow block of document rows ``BATCH_DOCS`` docs at a time.
@@ -17,9 +17,9 @@ the read, the maps and the write around it fuse into its operator.
 Per batch, the heavy work runs batch-wide in ``kernels.extract.
 extract_batch``: render into one canvas per raster shape, detect once
 per canvas, crop and strip-split every box in array passes, decode every
-strip at once; row iteration is only orchestration. Overrides are the
-human-edit analogue (PATCH /jobs/{id}/detect): a small table indexed on
-the driver (``overrides_to_lookup``) and broadcast once via ``ray.put`` —
+strip at once; row iteration is only orchestration. Both human edits
+(PATCH /jobs/{id}/detect and /result) are one small table indexed on the
+driver (``overrides_to_lookup``) and broadcast once via ``ray.put`` —
 never re-shipped per batch or pickled into the task.
 """
 
@@ -99,6 +99,7 @@ def _assemble_batch(
     res: Extracted,
     res_at: np.ndarray,
     base_errors,
+    edits: dict,
 ) -> pa.Table:
     """Batch-wide row-local merge, building ``spans_out`` directly as
     flat child arrays + ``ListArray.from_arrays`` (no per-span dicts).
@@ -106,7 +107,9 @@ def _assemble_batch(
     offset slice), text spans pass through minus empties, image span j
     expands to the recognized blocks of ``res`` span ``res_at[j]`` (a
     dead letter there counts one error; -1 = no result, no error), output
-    offsets re-numbered 0..n-1 per row."""
+    offsets re-numbered 0..n-1 per row. A doc's result edit in ``edits``
+    then replaces the row's spans verbatim, confidences 1.0 (human-verified
+    text); its dead letters stay counted (the media is still poison)."""
     out_kind: list[str] = []
     out_text: list[str] = []
     out_ref: list[str] = []
@@ -151,6 +154,14 @@ def _assemble_batch(
                 for c in confs[lo:hi]:
                     min_conf = min(min_conf, c)
                     conf_sum += c
+        edit = edits.get(doc_ids[r]) if edits else None
+        if edit is not None:
+            kinds_e, texts_e, refs_e = edit
+            out_kind[start_len:] = kinds_e
+            out_text[start_len:] = texts_e
+            out_ref[start_len:] = refs_e
+            n_blocks = kinds_e.count("image")
+            min_conf, conf_sum = 1.0, float(n_blocks)  # min and mean 1.0
         lens.append(len(out_kind) - start_len)
         nb_col.append(n_blocks)
         minc_col.append(min_conf)
@@ -192,13 +203,23 @@ def _assemble_batch(
     )
 
 
-def overrides_to_lookup(rows: list[dict]) -> dict[tuple[str, int], list[tuple]]:
-    """Override table rows -> {(doc_id, span_idx): [(x1,y1,x2,y2), ...]}."""
-    out: dict[tuple[str, int], list[tuple]] = {}
+def overrides_to_lookup(rows: list[dict], result_rows: list[dict] | None = None) -> dict:
+    """A job's one edit table: box edit rows (``OVERRIDES_SCHEMA``) ->
+    ``{(doc_id, span_idx): [(x1,y1,x2,y2), ...]}`` and result edit rows
+    (``RESULT_OVERRIDES_SCHEMA``) -> ``{doc_id: (kinds, texts,
+    media_refs)}``, the last row of a doc winning, in the same dict."""
+    out: dict = {}
     for r in rows or []:
         out[(r["doc_id"], int(r["span_idx"]))] = [
             (int(b["x1"]), int(b["y1"]), int(b["x2"]), int(b["y2"])) for b in r["boxes"]
         ]
+    for r in result_rows or []:
+        spans = r["spans_out"]
+        out[r["doc_id"]] = (
+            [s["kind"] for s in spans],
+            [s["text"] for s in spans],
+            [s.get("media_ref", "") for s in spans],
+        )
     return out
 
 
@@ -210,13 +231,15 @@ class ExtractStage:
     one stage with recognize on; the two-phase run is the same stage with
     recognize off, a checkpoint, then recognize on over the checkpoint.
 
-    A span's boxes come from one rule: its override if it has one;
+    A span's boxes come from one rule: its box edit if it has one;
     otherwise its entry in the input's ``detect`` column when that column
     exists (a span with no entry was dead-lettered at detect and already
     counted, so it is skipped); otherwise detection. Every span then goes
     through one ``extract_batch`` call, and the result merges back in
-    offset order, row-local (every span of a doc lives in its row).
-    ``overrides_ref`` is a ``ray.put`` of ``overrides_to_lookup(rows)``.
+    offset order, row-local (every span of a doc lives in its row); with
+    recognize on, a doc's result edit then replaces its merged spans.
+    ``overrides_ref`` is a ``ray.put`` of ``overrides_to_lookup(rows,
+    result_rows)``, or None when the job has no edit.
 
     A call takes a whole block and runs it ``BATCH_DOCS`` rows at a time;
     rows are independent, so the result equals one call per slice,
@@ -239,7 +262,7 @@ class ExtractStage:
         )
 
     def _batch(self, batch: pa.Table) -> pa.Table:
-        overrides = {} if self.overrides_ref is None else resolve_broadcast(self.overrides_ref)
+        edits = {} if self.overrides_ref is None else resolve_broadcast(self.overrides_ref)
         doc_ids = batch.column("doc_id").to_pylist()
         off, kinds, texts, refs, offs = _spans_flat(batch)
         names = batch.column_names
@@ -261,7 +284,7 @@ class ExtractStage:
                 if kinds[j] != "image":
                     continue
                 i = j - a
-                boxes = overrides.get((doc_ids[r], i))
+                boxes = edits.get((doc_ids[r], i))
                 dims = (0, 0)  # 0: the raster's own
                 if entries is not None:
                     entry = entries.get(i)
@@ -283,7 +306,7 @@ class ExtractStage:
         res_at = np.full(len(kinds), -1, dtype=np.int64)
         res_at[sel_j] = np.arange(len(sel_j))
         out = _assemble_batch(
-            doc_ids, off, kinds, texts, refs, offs, res, res_at, base_errors
+            doc_ids, off, kinds, texts, refs, offs, res, res_at, base_errors, edits
         )
         return _with_passthrough(out, batch)
 

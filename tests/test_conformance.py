@@ -119,50 +119,101 @@ def _count_fetches(monkeypatch) -> list:
 
 
 def test_override_table_resolved_once_per_process(docs, monkeypatch):
-    """A stage instance ships only the ref of the override lookup, which
-    the driver indexes once (it is pickled into every task); the lookup
-    is fetched once per worker process, memoized by that ref."""
+    """A stage instance ships only the ref of the job's one edit table
+    (box and result edits, indexed once on the driver and pickled into
+    every task as a ref); the table is fetched once per worker process,
+    memoized by that ref, and both kinds of edit take effect."""
     import ray
 
     from ocr_platform_ray.stages import extract as stages
+    from ocr_platform_ray.stages.normalize import normalize_spans_batch
 
     ov = corpus.generate_overrides(docs, seed=7)
-    ov_ref = ray.put(stages.overrides_to_lookup(ov))
+    target = docs[0]["doc_id"]
+    rov = [{"doc_id": target, "spans_out": [
+        {"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}]
+    ov_ref = ray.put(stages.overrides_to_lookup(ov, rov))
     stage = stages.ExtractStage(ExtractConfig(), ov_ref)
     assert vars(stage).keys() == {"cfg", "overrides_ref", "recognize"}
     fetched = _count_fetches(monkeypatch)
-    batch = corpus.docs_to_table(docs[:8])
-    assert stage(batch) == stage(batch)
+    batch = normalize_spans_batch(corpus.docs_to_table(docs[:8]))
+    first, second = stage(batch), stage(batch)
+    assert first == second
+    assert first.column("spans_out")[0].as_py() == [
+        {"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]
     assert fetched == [ov_ref]
+    # the box edits of these 8 docs apply from the same table
+    want = oracle.oracle_extract_docs(docs[:8], ExtractConfig(), overrides=ov)
+    got = {
+        r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["offset"])
+                      for s in r["spans_out"]]
+        for r in first.to_pylist()[1:]
+    }
+    assert got == {d: want[d] for d in got}
+    assert any(d == r["doc_id"] for d in got for r in ov)
+
+
+def test_result_overrides_resolved_once_per_process(docs, monkeypatch):
+    """A job with only result edits still ships just the edit table's ref;
+    the table is fetched once per worker process, memoized by that ref."""
+    import ray
+
+    from ocr_platform_ray.stages import extract as stages
+    from ocr_platform_ray.stages.normalize import normalize_spans_batch
+
+    target = docs[0]["doc_id"]
+    rov = [{"doc_id": target, "spans_out": [
+        {"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}]
+    ref = ray.put(stages.overrides_to_lookup(None, rov))
+    stage = stages.ExtractStage(ExtractConfig(), ref)
+    batch = normalize_spans_batch(corpus.docs_to_table(docs[:8]))
+    fetched = _count_fetches(monkeypatch)
+    first, second = stage(batch), stage(batch)
+    assert first == second
+    assert first.column("spans_out")[0].as_py()[0]["text"] == "EDITED"
+    assert fetched == [ref]
 
 
 def test_result_overrides_applied(docs):
     """Result-override table (PATCH /jobs/{id}/result analogue) replaces a
-    doc's whole extracted span sequence at merge; untouched docs unchanged."""
-    from ocr_platform_ray.pipeline import apply_result_overrides
-
+    doc's whole extracted span sequence as the stage assembles its row:
+    kind and text verbatim (an empty text kept), a missing media_ref read
+    as "", offsets renumbered, blocks counted from the edit's image spans,
+    confidences 1.0, dead letters kept, the last row of a doc winning;
+    untouched docs unchanged, row order unchanged."""
     ds = rd.from_arrow(corpus.docs_to_table(docs))
-    base = build_extract_pipeline(ds)
     target = docs[0]["doc_id"]
+    poisoned = docs[45]["doc_id"]  # generate_docs' malformed media_ref row
     replacement = [
-        {"kind": "text", "text": "HUMAN EDITED", "media_ref": "", "offset": 0},
+        {"kind": "text", "text": "HUMAN EDITED", "media_ref": "", "offset": 7},
         {"kind": "image", "text": "FIXED BLOCK", "media_ref": "m", "offset": 1},
+        {"kind": "text", "text": "", "offset": 3},
     ]
-    out = apply_result_overrides(
-        base, [{"doc_id": target, "spans_out": replacement}]
-    )
-    rows = {r["doc_id"]: r for r in out.take_all()}
+    out = build_extract_pipeline(ds, result_overrides=[
+        {"doc_id": target, "spans_out": [{"kind": "text", "text": "stale", "offset": 0}]},
+        {"doc_id": target, "spans_out": replacement},
+        {"doc_id": poisoned, "spans_out": []},
+        {"doc_id": "no-such-doc", "spans_out": replacement},
+    ])
+    got_rows = out.take_all()
+    assert [r["doc_id"] for r in got_rows] == [d["doc_id"] for d in docs]
+    rows = {r["doc_id"]: r for r in got_rows}
     got = rows[target]
     assert [
         (s["kind"], s["text"], s["media_ref"], s["offset"])
         for s in got["spans_out"]
-    ] == [("text", "HUMAN EDITED", "", 0), ("image", "FIXED BLOCK", "m", 1)]
-    assert got["n_spans_out"] == 2 and got["n_blocks"] == 1
+    ] == [("text", "HUMAN EDITED", "", 0), ("image", "FIXED BLOCK", "m", 1),
+          ("text", "", "", 2)]
+    assert got["n_spans_out"] == 3 and got["n_blocks"] == 1
     assert got["min_conf"] == 1.0 and got["mean_conf"] == 1.0
+    assert got["n_span_errors"] == 0
+    empty = rows[poisoned]
+    assert empty["spans_out"] == [] and empty["n_blocks"] == 0
+    assert empty["n_span_errors"] == 1  # the edit does not un-poison the media
     # other docs keep the pipeline output
     expected = oracle.oracle_extract_docs(docs, ExtractConfig())
     for d, spans in expected.items():
-        if d == target:
+        if d in (target, poisoned):
             continue
         assert [
             (s["kind"], s["text"], s["media_ref"], s["offset"])
@@ -170,24 +221,19 @@ def test_result_overrides_applied(docs):
         ] == spans
 
 
-def test_result_overrides_resolved_once_per_process(docs, monkeypatch):
-    """The result-override map ships only the table's ref; the table is
-    fetched once per worker process, memoized by that ref."""
+def test_result_overrides_skip_the_detect_phase(docs):
+    """With recognize off the stage writes the detect checkpoint and never
+    consults a result edit: the detect phase's rows equal an unedited
+    run's."""
     import ray
 
-    from ocr_platform_ray import pipeline
-    from ocr_platform_ray.stages.extract import ExtractStage
+    from ocr_platform_ray.stages import extract as stages
 
-    target = docs[0]["doc_id"]
-    table = {target: [{"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}
-    ref = ray.put(table)
-    fn = pipeline._override_results(ref)
-    batch = ExtractStage(ExtractConfig())(corpus.docs_to_table(docs[:8]))
-    fetched = _count_fetches(monkeypatch)
-    first, second = fn(batch), fn(batch)
-    assert first == second
-    assert first.column("spans_out")[0].as_py()[0]["text"] == "EDITED"
-    assert fetched == [ref]
+    batch = corpus.docs_to_table(docs[:8])
+    rov = [{"doc_id": docs[0]["doc_id"], "spans_out": []}]
+    ref = ray.put(stages.overrides_to_lookup([], rov))
+    assert stages.ExtractStage(ExtractConfig(), ref, recognize=False)(batch) == \
+        stages.ExtractStage(ExtractConfig(), recognize=False)(batch)
 
 
 def test_schema(docs):

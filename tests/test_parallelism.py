@@ -123,10 +123,11 @@ try:
             if "MapBatches(ExtractStage)" in line:
                 print("stage_op", line)
 
-    # 4. a tenant-scoped, deduplicated two-phase job over one file in 4
-    # hash shards: the shard tag, tenant scope and survivor filter take
-    # the stage's remote args, so they fuse into the stage's operator, and
-    # every phase reads the file once for all shards
+    # 4. a tenant-scoped, deduplicated two-phase job with a result edit
+    # over one file in 4 hash shards: the shard tag, tenant scope and
+    # survivor filter take the stage's remote args, so they fuse into the
+    # stage's operator, the edit adds no operator, and every phase reads
+    # the file once for all shards
     from ocr_platform_ray import checkpoint, corpus
     shard = corpus.generate_corpus_table(40, seed=3)
     shard = shard.append_column(
@@ -151,8 +152,11 @@ try:
                     print(tag, name, line)
         built.clear()
 
+    edit = [{"doc_id": shard.column("doc_id")[0].as_py(), "spans_out": [
+        {"kind": "text", "text": "EDITED", "media_ref": "", "offset": 0}]}]
     checkpoint.run_job(shard_path, os.path.join(work, "job"), n_shards=4,
-                       two_phase=True, tenant="t0", dedup="exact")
+                       two_phase=True, tenant="t0", dedup="exact",
+                       result_overrides=edit)
     print_ops("hash_op")
 
     # 5. two file-group shards of 2 x NCPU files each, two-phase and fused:
@@ -262,6 +266,19 @@ def test_job_detect_phase_is_read_then_stage(child_out):
     assert re.search(
         r"MapBatches\(tag_shard\)->MapBatches\(in_tenant\)->"
         r"MapBatches\(keep_survivors\)->.*MapBatches\(ExtractStage\)->Write", ops[0][1]
+    ), ops
+
+
+def test_result_edit_merges_inside_the_stage(child_out):
+    """A result edit resolves inside the stage: the recognize phase of the
+    scoped, edited two-phase job is still one operator, ending in the
+    stage and the write."""
+    out, err = child_out
+    ops = _phase_ops(out, "hash_op").get("recognize")
+    assert ops and len(ops) == 1 and len(ops[0]) == 1, out or err
+    assert re.match(
+        r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->.*"
+        r"MapBatches\(ExtractStage\)->Write: ", ops[0][0]
     ), ops
 
 

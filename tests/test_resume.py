@@ -473,6 +473,54 @@ def test_all_flags_combined(tmp_path):
     assert s2["shards_ran"] == []
 
 
+def test_result_edit_keeps_dead_letters_and_tenant(tmp_path):
+    """A result edit on a doc with a malformed media_ref (generate_docs'
+    dead-letter fixture) in a corpus with a tenant_id column, through the
+    fused job and the two-phase job: the edited row keeps its
+    n_span_errors and its tenant_id, the manifests count the same dead
+    letters as an unedited run, and fused equals two-phase."""
+    import pyarrow as pa
+
+    docs = corpus.generate_docs(60, seed=13)
+    target = "doc-00000045"
+    assert docs[45]["doc_id"] == target
+    assert docs[45]["spans"][-1]["media_ref"] == "img://malformed"
+    tbl = corpus.docs_to_table(docs)
+    tbl = tbl.append_column("tenant_id", pa.array([f"t{i % 3}" for i in range(60)]))
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(tbl, path)
+    rov = [{"doc_id": target, "spans_out": [
+        {"kind": "image", "text": "EDITED", "media_ref": "m", "offset": 0}]}]
+
+    def rows_of(out_dir):
+        rows = {}
+        for part in sorted(os.listdir(out_dir)):
+            if part.startswith("part-"):
+                for r in pq.read_table(os.path.join(out_dir, part)).to_pylist():
+                    rows[r["doc_id"]] = r
+        return rows
+
+    base = run_job(path, str(tmp_path / "base"), n_shards=2)
+    base_rows = rows_of(str(tmp_path / "base"))
+    assert base_rows[target]["n_span_errors"] >= 1
+    got = {}
+    for two_phase in (False, True):
+        out = str(tmp_path / f"edit-{two_phase}")
+        summary = run_job(path, out, n_shards=2, two_phase=two_phase,
+                          result_overrides=rov)
+        assert summary["n_span_errors"] == base["n_span_errors"]
+        got[two_phase] = rows = rows_of(out)
+        edited = rows[target]
+        assert [(s["kind"], s["text"], s["media_ref"], s["offset"])
+                for s in edited["spans_out"]] == [("image", "EDITED", "m", 0)]
+        assert edited["n_blocks"] == 1 and edited["mean_conf"] == 1.0
+        assert edited["n_span_errors"] == base_rows[target]["n_span_errors"]
+        assert edited["tenant_id"] == "t0"  # 45 % 3
+        assert {d: r for d, r in rows.items() if d != target} == {
+            d: r for d, r in base_rows.items() if d != target}
+    assert got[False] == got[True]
+
+
 def test_invalidate_doc_ids_reruns_owning_shard_only(input_path, tmp_path):
     """Per-document rerun hook (reference requeue/rerun): only the shard
     owning the doc recomputes; every other checkpoint is reused byte-same."""

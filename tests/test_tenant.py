@@ -125,3 +125,21 @@ def test_job_tenant_scope_and_resume_invalidation(tmp_path, ray_session):
         os.path.join(out, "part-00000")
     ).column("tenant_id").to_pylist()
     assert set(got3) <= {"t2"}
+
+
+def test_tenant_dedup_keeps_a_doc_copied_only_in_another_tenant(tmp_path):
+    """The dedup pre-pass of a tenant-scoped job sees only that tenant's
+    docs: ``doc-b`` (t0) is a copy of ``doc-a`` (t1), which has the smaller
+    id, yet a t0 job keeps it, exactly as without dedup."""
+    a, c = corpus.generate_docs(3, seed=8)[1:]
+    docs = [dict(a, doc_id="doc-a"), dict(a, doc_id="doc-b"), dict(c, doc_id="doc-c")]
+    tbl = corpus.docs_to_table(docs).append_column(
+        "tenant_id", pa.array(["t1", "t0", "t0"])
+    )
+    inp = str(tmp_path / "docs.parquet")
+    pq.write_table(tbl, inp)
+    for dedup in ("none", "exact"):
+        out = str(tmp_path / dedup)
+        run_job(inp, out, n_shards=1, tenant="t0", dedup=dedup)
+        got = pq.read_table(os.path.join(out, "part-00000")).column("doc_id")
+        assert sorted(got.to_pylist()) == ["doc-b", "doc-c"], dedup
