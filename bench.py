@@ -86,7 +86,9 @@ def run_headline(sf_dir: str, replicate: int = 1) -> dict:
     )
 
     # consume via distributed partial aggregation — an iter_batches loop on
-    # the driver throttles the whole pipeline (measured ~2x at 8 CPUs)
+    # the driver throttles the whole pipeline (measured ~2x at 8 CPUs); the
+    # map takes the stage's task kwargs, so it fuses into the stage's
+    # operator instead of starting an operator of its own
     def agg(batch):
         import pyarrow as pa
 
@@ -98,7 +100,7 @@ def run_headline(sf_dir: str, replicate: int = 1) -> dict:
             }
         )
 
-    parts = out.map_batches(agg, batch_format="pyarrow").take_all()
+    parts = out.map_batches(agg, **PipelineOptions().task_kwargs()).take_all()
     stats = {k: sum(r[k] for r in parts) for k in ("n_docs", "n_spans_out", "n_blocks")}
     wall = time.perf_counter() - t0
     return {

@@ -17,12 +17,16 @@ directory). A single-file input falls back to hash-of-doc_id shards
 (test-scale convenience).
 
 One run covers every pending shard (planned, not already committed) with
-one Dataset per phase: a single read of the pending shards' inputs, one
-map that tags each row with its shard id (from the row's file, or its
-doc_id hash) and a single ``write_parquet(partition_cols=[SHARD_COL])``
-that writes one directory per shard, so a two-phase job runs two
-Datasets whatever its shard count, and a hash-sharded file is read once
-per phase. Assigning rows to shards at ingest, not re-reading the input
+one Dataset per phase: a single planned read of the pending shards'
+inputs (``pipeline.plan_reads``: footers on the driver, equal-row read
+units that may span files) that tags each row with its shard id as it
+loads it (a file-group shard's id rides on each piece of a unit; a
+hash shard's is the row's doc_id hash, set by a map after the read),
+and a single ``write_parquet(partition_cols=[SHARD_COL])`` that writes
+one directory per shard, so a two-phase job runs two Datasets whatever
+its shard count, and a hash-sharded file is read once per phase. The
+read, the tag and the write fuse with the stage, so each phase is one
+operator. Assigning rows to shards at ingest, not re-reading the input
 per shard, is the "Partition, Don't Sort!" (VLDB 2024) point. Both
 phases end in one step (``_run_phase``): the partitioned write, then each
 shard's directory renamed into place under the phase's root (``detect/``
@@ -58,12 +62,16 @@ import ray.data as rd
 
 from .functions import resolve_broadcast
 from .kernels.extract import ExtractConfig
-from .pipeline import PipelineOptions, build_extract_pipeline, scope_tenant
+from .pipeline import (
+    SHARD_COL,
+    PipelineOptions,
+    build_extract_pipeline,
+    parquet_files,
+    plan_reads,
+    read_planned,
+    scope_tenant,
+)
 from .rng import hash_str, hash_str_np
-
-# The column that tags each row of a run with its shard id. The phase
-# writes partition on it, so the committed files never hold it.
-SHARD_COL = "_shard"
 
 # Most shards one run covers. Ray's partitioned write leaves pyarrow's
 # ``write_dataset(max_partitions=1024)`` default in place, which fails a
@@ -85,11 +93,7 @@ def plan_shards(input_path: str, n_shards: int) -> list[ShardPlan]:
     if n_shards < 1:
         raise ValueError(f"n_shards must be at least 1, got {n_shards}")
     if os.path.isdir(input_path):
-        files = sorted(
-            os.path.join(input_path, f)
-            for f in os.listdir(input_path)
-            if f.endswith(".parquet")
-        )
+        files = parquet_files(input_path)
         if len(files) >= n_shards:
             plans = [ShardPlan(i, files=[]) for i in range(n_shards)]
             for k, f in enumerate(files):
@@ -101,30 +105,14 @@ def plan_shards(input_path: str, n_shards: int) -> list[ShardPlan]:
     ]
 
 
-def _read_tagged(path_sid: dict[str, int]) -> rd.Dataset:
-    """The files of ``path_sid`` as one Dataset, each row tagged with its
-    file's shard id. Ray returns each row's ``path`` exactly as it was
-    given, and the tag map takes the read's remote args, so it fuses into
-    the read."""
-    paths = pa.array(list(path_sid))
-    sids = pa.array(list(path_sid.values()), pa.int32())
-
-    def tag_shard(batch: pa.Table) -> pa.Table:
-        idx = pc.index_in(batch.column("path"), value_set=paths)
-        return batch.drop_columns(["path"]).append_column(SHARD_COL, sids.take(idx))
-
-    ds = rd.read_parquet(
-        list(path_sid), include_paths=True,
-        ray_remote_args=PipelineOptions().remote_args(),
-    )
-    return ds.map_batches(tag_shard, **PipelineOptions().task_kwargs())
-
-
 def _pending_dataset(plans: list[ShardPlan]) -> rd.Dataset:
     """The union of the ``plans`` shards' inputs, read once, each row
-    tagged with its shard id in ``SHARD_COL``."""
+    tagged with its shard id in ``SHARD_COL``: a file-group shard's rows by
+    the planned read, from their file; a hash shard's by a map after it,
+    from their doc_id."""
     if plans[0].files:
-        return _read_tagged({f: p.shard_id for p in plans for f in p.files})
+        files = [f for p in plans for f in p.files]
+        return read_planned(plan_reads(files, [p.shard_id for p in plans for _ in p.files]))
     n = plans[0].hash_mod[1]
     pending = pa.array([p.shard_id for p in plans], pa.int32())
 
@@ -138,9 +126,7 @@ def _pending_dataset(plans: list[ShardPlan]) -> rd.Dataset:
             pc.is_in(sid, value_set=pending)
         )
 
-    ds = rd.read_parquet(
-        plans[0].input_path, ray_remote_args=PipelineOptions().remote_args()
-    )
+    ds = read_planned(plan_reads(parquet_files(plans[0].input_path)))
     return ds.map_batches(tag_shard, **PipelineOptions().task_kwargs())
 
 
@@ -334,14 +320,11 @@ def _run_pending(
         det = build_extract_pipeline(ds, cfg, recognize=False)
         dirs = _run_phase(det, out_dir, os.path.join(out_dir, "detect"), plans, "detect")
         stage_times["detect_s"] = round(time.perf_counter() - t, 4)
-        detected = {
-            os.path.join(d, f): sid
-            for sid, d in dirs.items()
-            for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-        }
+        detected = [(f, sid) for sid, d in dirs.items() for f in parquet_files(d)]
         # no detect file at all: every pending shard is empty, and so is ds
         if detected:
-            ds = _read_tagged(detected)
+            files, sids = zip(*detected)
+            ds = read_planned(plan_reads(list(files), list(sids)))
     t = time.perf_counter()
     out = build_extract_pipeline(
         ds, cfg, overrides=overrides, result_overrides=result_overrides

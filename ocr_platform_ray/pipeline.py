@@ -3,8 +3,8 @@
 Physical design (SURVEY §4, §7.4):
 - the main path has ZERO shuffles — every span of a document lives in its
   row, so normalize / detect / recognize / merge are all row-local;
-- skew (north_rule): one mechanism, sized once at ingest. The bench
-  corpus's read splits into 2 x CPU blocks (below), so every CPU has
+- skew (north_rule): one mechanism, sized once at ingest. Every read
+  plans at least 2 x CPU equal-row units (below), so every CPU has
   stage tasks at any CPU count; the stage maps over whole blocks and
   walks each in bounded 32-doc kernel batches (``BATCH_DOCS``).
   Every span of a doc lives in its row, so no doc is ever split across
@@ -32,35 +32,46 @@ Physical design (SURVEY §4, §7.4):
   starts per Dataset (a two-phase job executes one per phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
-- every task on the extraction path (the reads, the job's shard tag,
+- every task on the extraction path (the read, the job's shard tag,
   tenant scope and dedup-survivor filter, normalize, the stage and the
   job's writes) takes the same remote args,
   ``PipelineOptions().remote_args()``, and the stage sets no batch size,
-  so Ray Data fuses a checkpoint phase into one operator from the read
-  to the write, one task per input block: an operator with different
-  args, or a map with a batch size after a read, would start an operator
-  of its own;
+  so Ray Data fuses every extraction Dataset into one operator from the
+  read to the stage (to the write, in a checkpoint phase), one task per
+  read unit: an operator with different args, or a map with a batch
+  size, would start an operator of its own;
 - extraction Datasets run without Ray Data's per-operator resource
   reservation (``_stage_map``). The reservation allocator holds at least
   one task's CPU for every operator, so on a 2-CPU session a light
   consumer map after the stage kept one slot and the stage ran one task
   at a time. The flag is set on the Dataset's own ``DataContext`` copy,
   never on the global one, so query Datasets keep Ray's default;
-- the bench corpus splits at the read (``override_num_blocks`` = 2 x CPU),
-  not through a repartition barrier, so ``to_spans`` fuses into the
-  stage's operator (to_spans -> prepare -> stage is one operator) and the
-  stage sees up to 2 x CPU tasks at any CPU count. Ray Data never fuses
-  a split read (``ReadParquet->SplitBlocks``) into the map after it, so
-  that read stays an operator of its own.
+- reads are planned on the driver, not by Ray ("Partition, Don't
+  Sort!", VLDB 2024: size partitions once, at ingest). ``plan_reads``
+  reads only the parquet footers and cuts the files' rows into
+  contiguous units of equal row count; ``read_planned`` turns them into
+  driver-side items and one map that reads each unit's row groups, so
+  the read is fused into the stage's operator (operator fusion, "ML
+  Inference Pipeline Execution Using Pure SQL Based on Operator Fusion",
+  ICDE 2025). A Ray ``read_parquet`` would instead sample the files with
+  remote tasks before the plan exists, and read as an operator of its
+  own in front of the stage (a split read, ``ReadParquet->SplitBlocks``,
+  is never fused), whose task holds a CPU while the stage's second task
+  waits for the executor's next 0.1 s scheduling tick.
 """
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -85,7 +96,7 @@ class PipelineOptions:
     max_task_retries: int = 3
 
     def remote_args(self) -> dict:
-        """Ray remote args of every task on the extraction path: the reads,
+        """Ray remote args of every task on the extraction path: the read,
         the maps and the job's writes. Ray Data fuses two operators only
         when their args match, so one set makes a checkpoint phase's read,
         maps and write one operator."""
@@ -97,18 +108,135 @@ class PipelineOptions:
         return {"batch_format": "pyarrow", **self.remote_args()}
 
 
-def read_corpus(path: str, **kwargs) -> rd.Dataset:
+# The column that tags each row of a checkpoint run with its shard id
+# (``plan_reads``' shard tags, or the job's doc_id hash). The phase writes
+# partition on it, so the committed files never hold it.
+SHARD_COL = "_shard"
+
+
+def parquet_files(path: str) -> list[str]:
+    """``path`` itself, or the ``.parquet`` files directly in the directory
+    ``path``, sorted."""
+    if not os.path.isdir(path):
+        return [path]
+    return sorted(
+        os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet")
+    )
+
+
+def _cluster_cpus() -> int:
+    try:
+        return max(1, int(ray.cluster_resources().get("CPU", 8)))
+    except Exception:
+        return 8
+
+
+def plan_reads(
+    files: list[str], shards: list[int] | None = None, n_units: int | None = None
+) -> list[dict]:
+    """Cut the rows of ``files``, in order, into contiguous read units of
+    equal row count (within one row), from the parquet footers alone: no
+    data page is read and no Ray task runs. ``n_units`` defaults to
+    max(2 x CPU, the footers' uncompressed bytes over
+    ``DataContext.target_max_block_size``), so every CPU has stage tasks
+    and no unit outgrows a block; it never exceeds the row count. A unit
+    may span files. Each is ``{"pieces": [{"path", "row_groups",
+    "offset", "num_rows", "shard"}, ...]}``: the row groups of one file
+    the unit overlaps, and the slice of them it keeps; ``shard`` is
+    ``shards[i]`` for ``files[i]``, or None. An input with no rows plans
+    one unit of one empty piece, so its read still has the schema."""
+    if not files:
+        raise ValueError("plan_reads needs at least one file")
+    metas = [pq.read_metadata(f) for f in files]
+    # first global row of each file, and file-local first row of each of
+    # its row groups (each list ends with the total)
+    file_at = [0, *accumulate(m.num_rows for m in metas)]
+    group_at = [
+        [0, *accumulate(m.row_group(g).num_rows for g in range(m.num_row_groups))]
+        for m in metas
+    ]
+    total = file_at[-1]
+    if n_units is None:
+        nbytes = sum(
+            m.row_group(g).total_byte_size for m in metas for g in range(m.num_row_groups)
+        )
+        target = rd.DataContext.get_current().target_max_block_size
+        n_units = max(2 * _cluster_cpus(), -(-nbytes // target))
+    n_units = max(1, min(n_units, total))
+    if total == 0:
+        piece = {"path": files[0], "row_groups": [], "offset": 0, "num_rows": 0,
+                 "shard": shards[0] if shards else None}
+        return [{"pieces": [piece]}]
+    units = []
+    for u in range(n_units):
+        lo, hi = u * total // n_units, (u + 1) * total // n_units
+        pieces = []
+        i = bisect_right(file_at, lo) - 1
+        while file_at[i] < hi:
+            # the unit's rows in file i, file-local: [a, b)
+            a, b = max(lo, file_at[i]) - file_at[i], min(hi, file_at[i + 1]) - file_at[i]
+            if a < b:
+                first = bisect_right(group_at[i], a) - 1
+                pieces.append({
+                    "path": files[i],
+                    "row_groups": list(range(first, bisect_left(group_at[i], b))),
+                    "offset": a - group_at[i][first],
+                    "num_rows": b - a,
+                    "shard": shards[i] if shards else None,
+                })
+            i += 1
+        units.append({"pieces": pieces})
+    return units
+
+
+def read_unit(unit: dict, columns: list[str] | None = None) -> pa.Table:
+    """The rows of one ``plan_reads`` unit: of each piece, only the row
+    groups it overlaps, sliced to the piece, with the schema metadata
+    stripped (pandas-written parquet carries a ``{b'pandas': ...}`` dict;
+    ``hash(pa.Schema)`` raises on it, so Ray's block-bundling
+    ``unify_schemas`` would log "Failed to hash the schemas" in every
+    worker). When the pieces carry shard ids, each row gets its piece's
+    in ``SHARD_COL``."""
+    tables = []
+    for p in unit["pieces"]:
+        with pq.ParquetFile(p["path"]) as f:
+            t = f.read_row_groups(p["row_groups"], columns=columns)
+        tables.append(t.slice(p["offset"], p["num_rows"]).replace_schema_metadata(None))
+    out = pa.concat_tables(tables)
+    if unit["pieces"][0]["shard"] is not None:
+        rows = [p["num_rows"] for p in unit["pieces"]]
+        sids = np.repeat([p["shard"] for p in unit["pieces"]], rows).astype(np.int32)
+        out = out.append_column(SHARD_COL, pa.array(sids, pa.int32()))
+    return out
+
+
+def read_planned(units: list[dict], columns: list[str] | None = None) -> rd.Dataset:
+    """The rows of ``units`` (``plan_reads``) as a Dataset of one block
+    per unit. The units are driver-side items and the read is a map under
+    the extraction path's remote args, so it fuses into the stage's
+    operator: no read operator, split or sampling task runs in front of
+    the stage, and the stage gets one task per unit."""
+
+    def read_units(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([read_unit(u, columns) for u in batch.to_pylist()])
+
+    # one block per unit: left to itself, from_items packs more items than
+    # its detected parallelism (200 blocks by default) several to a block
+    return rd.from_items(units, override_num_blocks=len(units)).map_batches(
+        read_units, **PipelineOptions().task_kwargs()
+    )
+
+
+def read_corpus(path: str, columns: list[str] | None = None) -> rd.Dataset:
     """Lance-shaped io seam: reads Lance when available, else Parquet
     (SURVEY §7.0 — pylance is optional; single documented swap point).
-    ``kwargs`` go to the reader. The Parquet path's metadata strip takes
-    the stage's remote args, so it fuses into the stage's operator."""
+    The Parquet path is planned on the driver (``plan_reads``) and read
+    inside the stage's operator (``read_planned``)."""
     try:
         import lance  # noqa: F401
     except ImportError:
-        from .sources import read_parquet_clean
-
-        return read_parquet_clean(path, remote_args=PipelineOptions().remote_args(), **kwargs)
-    return rd.read_lance(path, **kwargs)
+        return read_planned(plan_reads(parquet_files(path)), columns)
+    return rd.read_lance(path, columns=columns)
 
 
 def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
@@ -139,20 +267,10 @@ def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:
                 )
         return pa.Table.from_pylist(rows, schema=DOCUMENTS_TENANT_SCHEMA)
 
-    # A single small parquet file reads as ~16 blocks whatever the CPU
-    # count; stage-task parallelism equals block count, so split the read
-    # itself into 2 blocks per CPU. The metadata strip and to_spans carry
-    # the stage's remote args, so both fuse into the stage's operator with
-    # no barrier between (real corpora arrive in many files and read as
-    # many blocks anyway).
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
+    # A single small file plans as 2 x CPU read units, so every CPU has
+    # stage tasks; to_spans fuses into the stage's operator with the read.
     return read_corpus(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text"],
-        override_num_blocks=2 * max(1, ncpu),
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(to_spans, **PipelineOptions().task_kwargs())
 
 
@@ -176,10 +294,10 @@ def _stage_map(ds: rd.Dataset, stage, opts: PipelineOptions) -> rd.Dataset:
     walks a block ``BATCH_DOCS`` docs at a time). It takes
     ``task_kwargs`` like every other map on the path and sets no batch
     size, so the read and the maps before it and the write after it fuse
-    into its operator, one task per input block, and no pool starts per
-    Dataset. The trade-off: a block under ``BATCH_DOCS`` docs is
-    one task of its own, never bundled with the next block, so an input
-    of many tiny files makes many small tasks.
+    into its operator, one task per input block (a ``plan_reads`` unit),
+    and no pool starts per Dataset. A Dataset that does not come from
+    the planned read keeps its own blocks: a block under ``BATCH_DOCS``
+    docs is one task of its own, never bundled with the next block.
 
     The Dataset runs without Ray Data's per-operator resource reservation,
     which holds at least one task's CPU for every operator: a light map

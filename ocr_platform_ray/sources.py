@@ -23,7 +23,7 @@ def _strip_schema_metadata(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def read_parquet_clean(*args, remote_args: dict | None = None, **kwargs) -> rd.Dataset:
+def read_parquet_clean(*args, **kwargs) -> rd.Dataset:
     """``read_parquet`` + a zero-copy schema-metadata strip. Pandas-written
     parquet (the test tables) carries a ``{b'pandas': ...}`` schema-
     metadata dict; ``hash(pa.Schema)`` raises TypeError on dict metadata,
@@ -32,17 +32,10 @@ def read_parquet_clean(*args, remote_args: dict | None = None, **kwargs) -> rd.D
     process can reach) and misses Ray's set() dedup early exit. Metadata
     carries no data — stripping it at the seam keeps worker logs clean
     and the early exit hot. Plan topology and scan pruning (columns=/
-    filter=) are unchanged.
-
-    The read and the strip take ``remote_args`` as their Ray remote args
-    (default: Ray's). Ray Data fuses two operators only when their remote
-    args match, so a caller whose next map sets its own args (the
-    extraction path's ``PipelineOptions().remote_args()``) passes them
-    here to keep the read and the strip inside that map's operator."""
-    remote_args = remote_args or {}
-    # a copy: the read adds its scheduling strategy to the dict it is given
-    return rd.read_parquet(*args, ray_remote_args=dict(remote_args), **kwargs).map_batches(
-        _strip_schema_metadata, zero_copy_batch=True, batch_format="pyarrow", **remote_args
+    filter=) are unchanged. The query library reads through here; the
+    extraction path plans its reads instead (``pipeline.plan_reads``)."""
+    return rd.read_parquet(*args, **kwargs).map_batches(
+        _strip_schema_metadata, zero_copy_batch=True, batch_format="pyarrow"
     )
 
 

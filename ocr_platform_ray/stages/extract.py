@@ -243,7 +243,8 @@ class ExtractStage:
 
     A call takes a whole block and runs it ``BATCH_DOCS`` rows at a time;
     rows are independent, so the result equals one call per slice,
-    concatenated (an empty block still yields the output schema)."""
+    concatenated and combined into one chunk (an empty block still yields
+    the output schema)."""
 
     def __init__(
         self,
@@ -257,9 +258,11 @@ class ExtractStage:
 
     def __call__(self, block: pa.Table) -> pa.Table:
         n = BATCH_DOCS
+        # one chunk per block, so a write of the block makes one row group
+        # per file, not one per kernel batch
         return pa.concat_tables(
             [self._batch(block.slice(i, n)) for i in range(0, max(block.num_rows, 1), n)]
-        )
+        ).combine_chunks()
 
     def _batch(self, batch: pa.Table) -> pa.Table:
         edits = {} if self.overrides_ref is None else resolve_broadcast(self.overrides_ref)

@@ -1,17 +1,17 @@
-"""The extract stage gets every CPU slot, and the bench corpus reaches it
-with no barrier.
+"""The extract stage gets every CPU slot, and every extraction Dataset
+reads its input inside the stage's operator.
 
 Ray Data's reservation allocator holds at least one task's CPU for every
 operator, so on a 2-CPU session a plain consumer map after the stage kept
 one slot and the stage ran one task at a time. Extraction Datasets turn
 the reservation off on their own ``DataContext`` copy; these tests pin
 that two stage tasks overlap under a consumer map, that the global
-context is left alone, and that ``corpus_from_documents`` splits at the
-read (no Repartition) so the read's metadata strip and ``to_spans``
-fuse into the stage's operator, that the maps a checkpointed job adds
-before the stage fuse into it too, that a job runs one Dataset per phase
-for all its shards, and that each phase of a job over many files is one
-operator from the read to the write.
+context is left alone, and that every extraction read is planned on the
+driver (``pipeline.plan_reads``) and runs as a map fused into the stage's
+operator: the flagship, and each phase of a job over many files or over
+one hash-sharded file, is one operator after its driver-side input, from
+the read to the stage (and the write), with 2 x CPU tasks. No
+``ReadParquet`` or ``SplitBlocks`` operator is left on the path.
 
 Everything runs in one child process with its own
 ``ray.init(num_cpus=2)``, under a timeout that kills the child's whole
@@ -96,9 +96,9 @@ try:
     after = rd.DataContext.get_current().op_resource_reservation_enabled
     print("global_unchanged", before == after)
 
-    # 3. flagship plan shape and rows, replicate=2; 160 docs read as
-    # 2 x NCPU blocks of 40 rows, and the stage maps whole blocks, so
-    # every read block is one stage task
+    # 3. flagship plan shape and rows, replicate=2; 160 docs plan as
+    # 2 x NCPU read units of 40 rows, and the stage maps whole blocks, so
+    # every unit is one stage task
     n = 160
     texts = [" ".join(f"w{(d * 7 + i) % 53}" for i in range(8 + d % 37))
              for d in range(n)]
@@ -197,12 +197,17 @@ def child_out():
     return out, err[-2000:]
 
 
-def _assert_read_then_stage(ops):
-    """The operator right after the one read is the stage's."""
-    read = [i for i, ln in enumerate(ops) if re.match(r"Operator \d+ ReadParquet", ln)]
-    stage = [i for i, ln in enumerate(ops) if "MapBatches(ExtractStage)" in ln]
-    assert len(read) == 1 and len(stage) == 1, ops
-    assert stage[0] == read[0] + 1, ops
+def _assert_one_operator_after_input(ops, ending, tasks=4):
+    """``ops`` is the driver-side input, then one operator that starts
+    with the planned read and ends with ``ending``, with ``tasks`` tasks
+    (2 x CPU); no Ray read operator anywhere."""
+    assert len(ops) == 2, ops
+    assert re.match(r"Operator 0 FromItems: ", ops[0]), ops
+    assert re.match(
+        rf"Operator 1 MapBatches\(read_units\)->(.*->)?{re.escape(ending)}: "
+        rf"{tasks} tasks executed", ops[1]
+    ), ops
+    assert not any("ReadParquet" in op or "SplitBlocks" in op for op in ops), ops
 
 
 def test_stage_tasks_overlap_under_a_consumer_map(child_out):
@@ -216,28 +221,28 @@ def test_global_context_unchanged(child_out):
     assert "global_unchanged True" in out, out or err
 
 
-def test_flagship_split_at_read_fuses_to_spans(child_out):
+def test_flagship_is_one_operator_after_the_input(child_out):
+    """The flagship is its read units, then one operator from the read
+    through ``to_spans`` to the stage, one task per unit (2 x CPU); no
+    Repartition."""
     out, err = child_out
     assert "oracle_equal True 320" in out, out or err
     assert "repartition False" in out, out
     ops = [ln for ln in out.splitlines() if ln.startswith("stage_op")]
     assert len(ops) == 1, out
-    # one operator from to_spans to the stage, one task per read block
-    # (2 x CPU blocks)
     assert re.match(
-        r"stage_op Operator \d+ (MapBatches\(_strip_schema_metadata\)->)?"
-        r"MapBatches\(to_spans\)->.*"
+        r"stage_op Operator 1 MapBatches\(read_units\)->MapBatches\(to_spans\)->.*"
         r"->MapBatches\(ExtractStage\): 4 tasks executed", ops[0]
     ), ops[0]
 
 
 def test_no_operator_between_read_and_stage(child_out):
-    """The read's metadata strip and to_spans carry the stage's remote
-    args, so the operator right after the read is the stage's."""
+    """The read, to_spans and normalize carry the stage's remote args, so
+    the only operator is the stage's, right after the driver-side input."""
     out, err = child_out
     ops = [ln[len("op "):] for ln in out.splitlines() if ln.startswith("op ")]
     assert ops, out or err
-    _assert_read_then_stage(ops)
+    _assert_one_operator_after_input(ops, "MapBatches(ExtractStage)")
 
 
 def _phase_ops(out: str, tag: str) -> dict:
@@ -246,62 +251,60 @@ def _phase_ops(out: str, tag: str) -> dict:
     for ln in out.splitlines():
         if ln.startswith(tag + " "):
             _, name, op = ln.split(" ", 2)
-            if op.startswith("Operator 1 "):
+            if op.startswith("Operator 0 "):
                 got.setdefault(name, []).append([])
             got[name][-1].append(op)
     return got
 
 
-def test_job_detect_phase_is_read_then_stage(child_out):
+def test_hash_sharded_detect_phase_is_one_operator(child_out):
     """The shard tag, tenant scope and dedup-survivor filter the job adds
     before the stage carry the stage's remote args: the detect phase of a
-    scoped job over one file in hash shards is its single-file read,
-    split into blocks (Ray Data never fuses a split read), then the
-    stage's operator."""
+    scoped job over one file in hash shards is one operator after its
+    read units, from the planned read through the hash tag to the stage
+    and the write, with 2 x CPU tasks (a single file no longer reads
+    split)."""
     out, err = child_out
     ops = _phase_ops(out, "hash_op").get("detect")
     assert ops and len(ops) == 1, out or err
-    assert re.match(r"Operator 1 ReadParquet->SplitBlocks", ops[0][0]), ops
-    _assert_read_then_stage(ops[0])
+    _assert_one_operator_after_input(ops[0], "MapBatches(ExtractStage)->Write")
     assert re.search(
-        r"MapBatches\(tag_shard\)->MapBatches\(in_tenant\)->"
+        r"MapBatches\(read_units\)->MapBatches\(tag_shard\)->MapBatches\(in_tenant\)->"
         r"MapBatches\(keep_survivors\)->.*MapBatches\(ExtractStage\)->Write", ops[0][1]
     ), ops
 
 
 def test_result_edit_merges_inside_the_stage(child_out):
     """A result edit resolves inside the stage: the recognize phase of the
-    scoped, edited two-phase job is still one operator, ending in the
+    scoped, edited two-phase job, which reads the detect checkpoint back
+    tagged with each file's shard, is still one operator, ending in the
     stage and the write."""
     out, err = child_out
     ops = _phase_ops(out, "hash_op").get("recognize")
-    assert ops and len(ops) == 1 and len(ops[0]) == 1, out or err
-    assert re.match(
-        r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->.*"
-        r"MapBatches\(ExtractStage\)->Write: ", ops[0][0]
-    ), ops
+    assert ops and len(ops) == 1, out or err
+    _assert_one_operator_after_input(ops[0], "MapBatches(ExtractStage)->Write")
 
 
 def test_hash_shards_read_their_input_once(child_out):
     """A two-phase job over one file in 4 hash shards runs 2 Datasets,
-    one per phase, and each reads its input with one ``ReadParquet``
-    operator (a Dataset per shard and phase would make 8)."""
+    one per phase, and each reads its input through one planned read (a
+    Dataset per shard and phase would make 8)."""
     out, err = child_out
     phases = _phase_ops(out, "hash_op")
     assert sorted(phases) == ["detect", "recognize"], out or err
     for name, runs in phases.items():
         assert len(runs) == 1, (name, runs)
-        assert sum(bool(re.match(r"Operator \d+ ReadParquet", op)) for op in runs[0]) == 1, (
-            name, runs)
+        assert sum(op.count("MapBatches(read_units)") for op in runs[0]) == 1, (name, runs)
 
 
 def test_job_phases_are_one_operator(child_out):
     """Over two shards of 2 x CPU files each, the detect and recognize
     phases of a two-phase run and the one phase of a fused run (a
-    recognize phase over the input) are each one Dataset of exactly one
-    operator, ``ReadParquet->...->MapBatches(ExtractStage)->Write``, with
-    2 x CPU tasks (Ray groups the 8 small files into 4 read tasks), so no
-    phase collapses into fewer than 2 x CPU tasks."""
+    recognize phase over the input) are each one Dataset of one operator
+    after its read units, ``MapBatches(read_units)->...->
+    MapBatches(ExtractStage)->Write``, with 2 x CPU tasks (the 8 small
+    files plan as 4 units), so no phase collapses into fewer than 2 x CPU
+    tasks."""
     out, err = child_out
     phases = _phase_ops(out, "files_op")
     assert {name: len(runs) for name, runs in phases.items()} == {
@@ -309,8 +312,4 @@ def test_job_phases_are_one_operator(child_out):
     }, out or err
     for name, runs in phases.items():
         for run in runs:
-            assert len(run) == 1, (name, runs)
-            assert re.match(
-                r"Operator 1 ReadParquet->MapBatches\(tag_shard\)->(.*->)?"
-                r"MapBatches\(ExtractStage\)->Write: 4 tasks executed", run[0]
-            ), (name, runs)
+            _assert_one_operator_after_input(run, "MapBatches(ExtractStage)->Write")

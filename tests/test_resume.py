@@ -142,6 +142,28 @@ def test_two_phase_job_equals_fused(input_path, tmp_path):
     assert all(m["two_phase"] for m in ms)
 
 
+def test_committed_files_hold_one_row_group(tmp_path):
+    """The stage returns each block as one chunk, so every file a task
+    writes, detect checkpoint and output alike, holds one row group, even
+    where the block spans several ``BATCH_DOCS`` kernel batches."""
+    from ocr_platform_ray.stages.extract import BATCH_DOCS
+
+    path = str(tmp_path / "docs.parquet")
+    # 4 CPUs plan 8 read units: 320 docs make units of 40 > BATCH_DOCS
+    pq.write_table(corpus.generate_corpus_table(320, seed=4), path)
+    out = str(tmp_path / "out")
+    run_job(path, out, n_shards=1, two_phase=True)
+    for root in (out, os.path.join(out, "detect")):
+        files = [
+            os.path.join(root, part, f)
+            for part in sorted(os.listdir(root)) if part.startswith("part-")
+            for f in os.listdir(os.path.join(root, part))
+        ]
+        assert files, root
+        assert all(pq.read_metadata(f).num_row_groups == 1 for f in files), root
+        assert min(pq.read_metadata(f).num_rows for f in files) > BATCH_DOCS
+
+
 def test_resume_invalidates_changed_plan(input_path, tmp_path):
     """Manifests from a different --shards plan or config don't count as
     done: resume validates lineage + n_shards + config_sig and reruns."""
