@@ -46,25 +46,31 @@ def round_half_away_np(x, ndigits: int):
     return np.floor(np.abs(x) * m + 0.5) / m * np.where(np.asarray(x) >= 0, 1.0, -1.0)
 
 
-def default_n_buckets(per_cpu: int = 4, floor: int = 64) -> int:
-    """Coarse-bucket count sized to the CLUSTER, not a constant: ~4 hash
-    buckets per CPU. Since :func:`apply_per_partition` calls the UDF once
-    per sorted BLOCK, the count no longer sets how many UDF calls a
-    shuffle pays — it only sets the sort key's cardinality, i.e. how
-    finely the range partitioner can balance rows across blocks (a hot
-    bucket cannot be split). At 8k cores the rule yields 32k buckets, so
-    each block's payload stays worker-heap-sized at 100 TB. Bucket count
-    never changes RESULTS (all rows of a key co-locate regardless)."""
+def cluster_cpus() -> int:
+    """The session's CPU count, the one probe every sizing rule reads
+    (:func:`default_n_buckets`, ``dedup.shuffle_blocks``,
+    ``pipeline.plan_reads``); 8 outside a Ray session."""
     try:
         import ray
 
         if ray.is_initialized():
-            ncpu = int(ray.cluster_resources().get("CPU", 0))
-            if ncpu > 0:
-                return max(floor, per_cpu * ncpu)
+            return max(1, int(ray.cluster_resources().get("CPU", 0)))
     except Exception:
         pass
-    return max(floor, 128)
+    return 8
+
+
+def default_n_buckets() -> int:
+    """Coarse-bucket count sized to the CLUSTER, not a constant: 4 hash
+    buckets per CPU, at least 64. Since :func:`apply_per_partition` calls
+    the UDF once per sorted BLOCK, the count no longer sets how many UDF
+    calls a shuffle pays — it only sets the sort key's cardinality, i.e.
+    how finely the range partitioner can balance rows across blocks (a
+    hot bucket cannot be split). At 8k cores the rule yields 32k buckets,
+    so each block's payload stays worker-heap-sized at 100 TB. Bucket
+    count never changes RESULTS (all rows of a key co-locate
+    regardless)."""
+    return max(64, 4 * cluster_cpus())
 
 
 def apply_per_partition(ds, key, fn, batch_format: str = "pandas"):

@@ -13,7 +13,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from . import apply_per_partition
+from . import apply_per_partition, cluster_cpus
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -29,17 +29,12 @@ def shuffle_blocks() -> int:
     scaling with the cluster so reduce parallelism isn't hard-capped at 8
     blocks on a 256-node cluster (half the CPUs: the map side of the
     shuffle still needs slots while reducers run)."""
-    import ray
-
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    return max(SHUFFLE_BLOCKS, ncpu // 2)
+    return max(SHUFFLE_BLOCKS, cluster_cpus() // 2)
 
 
 def _text_hash64(texts: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Vectorized stable 64-bit hash of a string column (polars/Rust)."""
+    """Vectorized stable 64-bit hash of an Arrow column, strings or ints
+    (polars/Rust, seed 0)."""
     import polars as pl
 
     s = pl.Series("t", pa.chunked_array([texts]) if isinstance(texts, pa.Array) else texts)
@@ -184,42 +179,29 @@ def _shingle_hashes3(col) -> tuple[np.ndarray, np.ndarray]:
     return h, counts
 
 
-def minhash_band_rows(batch: pa.Table, n_shingle: int = 3) -> pa.Table:
+def minhash_band_rows(batch: pa.Table) -> pa.Table:
     """Docs -> exploded (doc_id, band, band_hash, sig) rows.
 
-    Signature math is numpy-vectorized over all shingles of the batch:
-    one 64-bit base hash per shingle (polars), k affine transforms, min
-    per doc via minimum.reduceat. Keep batch_size moderate (<=1024): the
-    intermediate is n_shingles x 64 u64.
+    Signature math is numpy-vectorized over all 3-token shingles of the
+    batch (``_shingle_hashes3``): one 64-bit base hash per shingle
+    (polars), k affine transforms, min per doc via minimum.reduceat.
+    Keep batch_size moderate (<=1024): the intermediate is
+    n_shingles x 64 u64.
     """
     doc_ids = batch.column("doc_id").to_pylist()
     n_docs = batch.num_rows
-    if n_shingle == 3:
-        base, counts = _shingle_hashes3(batch.column("text"))
-        starts = np.zeros(n_docs, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        n_shingles_total = int(counts.sum())
-    else:  # generality fallback (scalar path; production uses n=3)
-        texts = batch.column("text").to_pylist()
-        all_shingles: list[str] = []
-        starts_l = []
-        for t in texts:
-            starts_l.append(len(all_shingles))
-            all_shingles.extend(shingles_of(t, n_shingle))
-        starts = np.array(starts_l, dtype=np.int64)
-        n_shingles_total = len(all_shingles)
-        base = (
-            _text_hash64(pa.array(all_shingles)) if all_shingles else None
-        )
+    base, counts = _shingle_hashes3(batch.column("text"))
+    starts = np.zeros(n_docs, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    n_shingles_total = int(counts.sum())
     sig = np.full((n_docs, N_HASHES), np.iinfo(np.uint64).max, dtype=np.uint64)
     if n_shingles_total:
         with np.errstate(over="ignore"):
             tf = (base[:, None] * _A[None, :] + _B[None, :]) & _MASK64
         # reduceat needs non-empty segments; docs with 0 shingles keep MAX
-        seg_starts = np.asarray(starts, dtype=np.int64)
-        nonempty = np.diff(np.append(seg_starts, n_shingles_total)) > 0
+        nonempty = counts > 0
         if nonempty.any():
-            red = np.minimum.reduceat(tf, seg_starts[nonempty], axis=0)
+            red = np.minimum.reduceat(tf, starts[nonempty], axis=0)
             sig[nonempty] = red
     # band hashes: chained multiply-xor over each band's rows, vectorized
     # across (doc, band) at once — ROWS_PER_BAND tiny passes over an
@@ -1318,7 +1300,6 @@ def dedup_lines(
     ds: rd.Dataset,
     line_tokens: int = 16,
     id_col: str = "doc_id",
-    n_buckets: int = 1024,
 ) -> rd.Dataset:
     """Line-level EXACT dedup across the whole corpus — the
     RefinedWeb/CCNet-style pass that removes boilerplate lines repeated
@@ -1336,7 +1317,7 @@ def dedup_lines(
     LINE HASH (int shuffle comparisons; line text travels as payload,
     equality verified exactly inside the bucket so a collision merely
     co-locates), then reassembly groups by doc-id hash bucket. Two
-    text-carrying shuffles, both bucketed, no global sort.
+    text-carrying shuffles, both over 1024 buckets, no global sort.
 
     Returns (doc_id, dedup_text, n_kept)."""
     import polars as pl
@@ -1380,7 +1361,7 @@ def dedup_lines(
         return g.drop_duplicates("line", keep="first")
 
     kept = bucketed_group_apply(
-        lines, "line", keep_first, n_buckets=n_buckets, batch_format="pandas"
+        lines, "line", keep_first, n_buckets=1024, batch_format="pandas"
     )
 
     def reassemble(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -1392,7 +1373,7 @@ def dedup_lines(
         return agg
 
     return bucketed_group_apply(
-        kept, id_col, reassemble, n_buckets=n_buckets, batch_format="pandas"
+        kept, id_col, reassemble, n_buckets=1024, batch_format="pandas"
     )
 
 
@@ -1400,7 +1381,6 @@ def duplicate_ngram_occurrences(
     ds: rd.Dataset,
     n: int = 8,
     id_col: str = "doc_id",
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """Every occurrence of a duplicated token ``n``-gram beyond its first
     — the DETECTION core of exact substring dedup (Lee et al. 2022,
@@ -1468,7 +1448,7 @@ def duplicate_ngram_occurrences(
         return dup[[id_col, "pos"]]
 
     return bucketed_group_apply(
-        grams, "gram", non_first, n_buckets=n_buckets, batch_format="pandas"
+        grams, "gram", non_first, batch_format="pandas"
     )
 
 
@@ -1476,7 +1456,6 @@ def remove_duplicate_ngrams(
     ds: rd.Dataset,
     n: int = 8,
     id_col: str = "doc_id",
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """The REMOVAL pass of exact substring dedup (Lee et al. 2022): drop
     every token covered by a duplicated ``n``-gram occurrence beyond its
@@ -1499,8 +1478,7 @@ def remove_duplicate_ngrams(
     from . import bucketed_group_apply
     from .textstats import TOKEN_RE
 
-    occ = duplicate_ngram_occurrences(ds, n=n, id_col=id_col,
-                                      n_buckets=n_buckets)
+    occ = duplicate_ngram_occurrences(ds, n=n, id_col=id_col)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1576,7 +1554,7 @@ def remove_duplicate_ngrams(
         return out.to_pandas()
 
     return bucketed_group_apply(
-        tagged, id_col, rebuild, n_buckets=n_buckets, batch_format="pandas"
+        tagged, id_col, rebuild, batch_format="pandas"
     )
 
 
@@ -1584,7 +1562,6 @@ def duplicate_coverage(
     ds: rd.Dataset,
     n: int = 8,
     id_col: str = "doc_id",
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """Per-doc duplicated-token coverage — the ANALYSIS companion of
     exact substring dedup: how much of each document is covered by
@@ -1604,8 +1581,7 @@ def duplicate_coverage(
     from . import bucketed_group_apply, round_half_away_np
     from .textstats import TOKEN_RE
 
-    occ = duplicate_ngram_occurrences(ds, n=n, id_col=id_col,
-                                      n_buckets=n_buckets)
+    occ = duplicate_ngram_occurrences(ds, n=n, id_col=id_col)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         col = batch.column("text")
@@ -1676,7 +1652,7 @@ def duplicate_coverage(
         return out
 
     return bucketed_group_apply(
-        tagged, id_col, stats, n_buckets=n_buckets, batch_format="pandas"
+        tagged, id_col, stats, batch_format="pandas"
     )
 
 
@@ -1684,7 +1660,6 @@ def duplicate_spans(
     ds: rd.Dataset,
     n: int = 8,
     id_col: str = "doc_id",
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """Maximal duplicated SPANS per doc: the token intervals
     [pos, pos+n) of :func:`duplicate_ngram_occurrences` merged where
@@ -1699,8 +1674,7 @@ def duplicate_spans(
     Python loop)."""
     from . import bucketed_group_apply
 
-    occ = duplicate_ngram_occurrences(ds, n=n, id_col=id_col,
-                                      n_buckets=n_buckets)
+    occ = duplicate_ngram_occurrences(ds, n=n, id_col=id_col)
 
     def merge(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values([id_col, "pos"], kind="mergesort").reset_index(
@@ -1726,7 +1700,7 @@ def duplicate_spans(
         return out
 
     return bucketed_group_apply(
-        occ, id_col, merge, n_buckets=n_buckets, batch_format="pandas"
+        occ, id_col, merge, batch_format="pandas"
     )
 
 

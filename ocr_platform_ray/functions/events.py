@@ -13,7 +13,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from . import apply_per_partition, round_half_away_np
+from . import apply_per_partition, default_n_buckets, round_half_away_np
 
 US_PER_HOUR = 3_600_000_000
 
@@ -27,12 +27,6 @@ US_PER_HOUR = 3_600_000_000
 # sized to the cluster (default_n_buckets, ~4 per CPU).
 
 
-def _window_buckets() -> int:
-    from . import default_n_buckets
-
-    return default_n_buckets()
-
-
 def _merged_windows(partials: rd.Dataset) -> rd.Dataset:
     """Merge per-batch (event_type, window_id, n_events, value_sum)
     partials: coarse-bucket by key hash, one vectorized pandas sub-groupby
@@ -42,7 +36,7 @@ def _merged_windows(partials: rd.Dataset) -> rd.Dataset:
     shuffle arrival order."""
     import polars as pl
 
-    nb = _window_buckets()  # resolved once on the driver, captured below
+    nb = default_n_buckets()  # resolved once on the driver, captured below
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return (
@@ -203,7 +197,7 @@ def sessions_per_user(ds: rd.Dataset, gap_minutes: int = 30) -> rd.Dataset:
     import polars as pl
 
     gap_us = gap_minutes * 60_000_000
-    nb = _window_buckets()  # resolved once on the driver, captured below
+    nb = default_n_buckets()  # resolved once on the driver, captured below
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return (
@@ -367,7 +361,6 @@ def funnel_counts(
 def range_window_sum(
     ds: rd.Dataset,
     interval_us: int = US_PER_HOUR,
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """RANGE-frame window analogue: per event, the sum of ``value`` over
     the SAME USER's events with ts in ``[ts - interval, ts]`` — the
@@ -382,8 +375,11 @@ def range_window_sum(
     finds every row's frame bounds across ALL users at once, then the
     frame sum is a cumsum difference. The composite key bounds users per
     call at ``2^63 / SHIFT`` (loud guard): a call gets one sorted block,
-    about one input block of rows, far below it at any corpus size. Rounded 6dp (DuckDB's segment-tree accumulation order differs
-    from a linear cumsum in the last ulps)."""
+    about one input block of rows, far below it at any corpus size; an
+    input of few large blocks trips it, and splitting the input into
+    more blocks clears it. Rounded 6dp (DuckDB's segment-tree
+    accumulation order differs from a linear cumsum in the last
+    ulps)."""
     from . import bucketed_group_apply, round_half_away_np
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -400,9 +396,8 @@ def range_window_sum(
         if (rank[-1] + 1) > (2**63 - 1) // max(shift, 1):
             raise ValueError(
                 "range_window_sum: too many users in one sorted block "
-                "for the composite key — raise n_buckets (one bucket "
-                "never splits across blocks) or split the input into "
-                "more blocks"
+                "for the composite key — split the input into more "
+                "blocks (ds.repartition)"
             )
         key = rank * shift + dts
         lo = np.searchsorted(key, key - interval_us, side="left")
@@ -419,7 +414,6 @@ def range_window_sum(
         ds.select_columns(["event_id", "user_id", "ts", "value"]),
         "user_id",
         per_bucket,
-        n_buckets=n_buckets,
     )
 
 

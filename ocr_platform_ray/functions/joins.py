@@ -56,20 +56,18 @@ def bucketed_merge_join(
     right: rd.Dataset,
     on: str,
     right_on: str | None = None,
-    n_buckets: int = 64,
     how: str = "inner",
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
     compact: bool = False,
 ) -> rd.Dataset:
     """Explicit partitioned hash join: both sides get bucket =
-    hash(key) % B (polars/Rust hash — key-type generic: int, string, date,
-    null), one sort on the bucket co-locates matching buckets, and one
-    pandas merge per sorted block joins them (:func:`apply_per_partition`
-    — a block holds whole buckets, and equal keys share a bucket). Tasks
-    only: no join actors. Explicit about skew: salt hot keys by widening
-    B. NULL join keys follow SQL equality (match nothing; preserved by
-    left/anti).
+    hash(key) % 64 (polars/Rust hash — key-type generic: int, string,
+    date, null), one sort on the bucket co-locates matching buckets, and
+    one pandas merge per sorted block joins them
+    (:func:`apply_per_partition` — a block holds whole buckets, and equal
+    keys share a bucket). Tasks only: no join actors. NULL join keys
+    follow SQL equality (match nothing; preserved by left/anti).
 
     ``how``: "inner" | "left" (unmatched left rows keep nulls in right
     columns) | "semi" (left rows WITH a match, left columns only) |
@@ -120,7 +118,7 @@ def bucketed_merge_join(
             h = pl.from_arrow(kc).hash(seed=0).to_numpy().astype(np.uint64)
             names += ["__bucket", "__side"]
             arrays += [
-                pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
+                pa.array((h % np.uint64(64)).astype(np.int64)),
                 pa.array([side] * n),
             ]
             return pa.Table.from_arrays(arrays, names=names)
@@ -179,9 +177,9 @@ def bucketed_merge_join(
     return apply_per_partition(u, "__bucket", merge)
 
 
-def _add_key_bucket(key: str, n_buckets: int = 256):
+def _add_key_bucket(key: str):
     """Coarse key-hash bucket column: the sort shuffles on one int64 of
-    ~n_buckets values instead of the raw key, and per-key semantics are
+    256 values instead of the raw key, and per-key semantics are
     restored inside each sorted block with vectorized pandas
     (merge_asof by=, groupby). Key-type generic
     (int/string/null — polars hashes any Arrow column; null keys hash
@@ -194,7 +192,7 @@ def _add_key_bucket(key: str, n_buckets: int = 256):
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         h = pl.from_arrow(col).hash(seed=0).to_numpy().astype(np.uint64)
-        kb = (h % np.uint64(n_buckets)).astype(np.int64)
+        kb = (h % np.uint64(256)).astype(np.int64)
         out = batch
         if "__kb" in out.column_names:
             out = out.drop_columns(["__kb"])

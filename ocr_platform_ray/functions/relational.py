@@ -226,7 +226,6 @@ def grouped_topk(
     val_col: str,
     k: int,
     id_col: str,
-    n_buckets: int = 256,
 ) -> rd.Dataset:
     """Per-key top-k — the `QUALIFY row_number() OVER (PARTITION BY key
     ORDER BY val DESC, id) <= k` shape, without a global sort.
@@ -234,9 +233,9 @@ def grouped_topk(
     Map side: each batch keeps only its own top-k rows PER KEY (vectorized
     polars sort + group head), so the shuffle carries at most
     k x |keys-in-batch| rows per batch regardless of input size. Reduce
-    side: keys hash-bucket (``bucketed_group_apply``) and one vectorized
-    final top-k runs per bucket. Tie order is the oracle's: val DESC,
-    id ASC."""
+    side: keys hash-bucket into 256 buckets (``bucketed_group_apply``)
+    and one vectorized final top-k runs per bucket. Tie order is the
+    oracle's: val DESC, id ASC."""
     import polars as pl
 
     from . import bucketed_group_apply
@@ -259,7 +258,7 @@ def grouped_topk(
         return topk(pl.from_arrow(g)).select(key_col, id_col, val_col).to_arrow()
 
     return bucketed_group_apply(
-        partials, key_col, final, n_buckets=n_buckets, batch_format="pyarrow"
+        partials, key_col, final, n_buckets=256, batch_format="pyarrow"
     )
 
 
@@ -4450,7 +4449,6 @@ def kruskal_wallis(
 def profile_table(
     ds: rd.Dataset,
     columns: list[str],
-    n_buckets: int | None = None,
 ) -> rd.Dataset:
     """Column profiler — per column: row count, NULL count and EXACT
     distinct count — the schema-drift / data-quality audit every
@@ -4460,21 +4458,19 @@ def profile_table(
     Distributed-exact distinct WITHOUT a driver value collect: pass 1
     melts each batch to its per-batch UNIQUE non-null (column, value)
     pairs (a combiner — low-cardinality columns collapse immediately);
-    the pairs hash-bucket via ``bucketed_group_apply`` on (column,
-    value), so each distinct pair lands in exactly one bucket and a
-    per-bucket ``drop_duplicates`` + size-by-column is an exact
-    partition of the global distinct count; the collect moves one int
-    row per (bucket, column). Pass 2 is a trivial count/NULL-count
-    partial. Values are compared as their string cast (injective for
-    the int/string columns this profiles; floats should be profiled
-    via histogram operators instead — stated contract)."""
+    the pairs hash-bucket into ``shuffle_blocks()`` buckets via
+    ``bucketed_group_apply`` on (column, value), so each distinct pair
+    lands in exactly one bucket and a per-bucket ``drop_duplicates`` +
+    size-by-column is an exact partition of the global distinct count;
+    the collect moves one int row per (bucket, column). Pass 2 is a
+    trivial count/NULL-count partial. Values are compared as their
+    string cast (injective for the int/string columns this profiles;
+    floats should be profiled via histogram operators instead — stated
+    contract)."""
     import numpy as np
     import polars as pl
 
     from .dedup import shuffle_blocks
-
-    if n_buckets is None:
-        n_buckets = shuffle_blocks()
 
     def melt_unique(batch: pa.Table) -> pa.Table:
         d = pl.from_arrow(batch.select(columns))
@@ -4499,7 +4495,7 @@ def profile_table(
             ds.map_batches(melt_unique, batch_format="pyarrow"),
             ["col", "val"],
             bucket_distinct,
-            n_buckets=n_buckets,
+            n_buckets=shuffle_blocks(),
         )
         .to_pandas()
         .groupby("col", as_index=False)

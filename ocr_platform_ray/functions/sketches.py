@@ -16,22 +16,16 @@ import pyarrow as pa
 import ray.data as rd
 
 from . import apply_per_partition
+from .dedup import _text_hash64
 
 P = 12                 # 4096 registers; relative error ~ 1.04/sqrt(2^p) ~ 1.6%
 M = 1 << P
 _ALPHA = 0.7213 / (1 + 1.079 / M)
 
 
-def _hash64(values: pa.Array) -> np.ndarray:
-    import polars as pl
-
-    s = pl.Series("v", values)
-    return s.hash(seed=0).to_numpy().astype(np.uint64)
-
-
 def _hash_rank(values: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (register index, rank) per value."""
-    h = _hash64(values)
+    h = _text_hash64(values)
     idx = (h & np.uint64(M - 1)).astype(np.int64)
     rest = h >> np.uint64(P)
     # rank = position of first set bit in the remaining 64-p bits, 1-based;
@@ -630,16 +624,15 @@ def grouped_quantiles(
     key_col: str,
     val_col: str,
     qs: tuple = (0.25, 0.5, 0.75, 0.95),
-    n_buckets: int = 256,
 ) -> rd.Dataset:
     """EXACT per-group quantile_cont — one wide row per key with a
     ``q{100q}`` column per requested quantile.
 
-    Keys hash-bucket (``bucketed_group_apply``), so all of one key's
-    values co-locate, and ONE vectorized pass per bucket computes every
-    quantile for every key in it: sort by (key, val), locate per-key
-    group offsets, gather the two order statistics per (key, q), and
-    interpolate with DuckDB quantile_cont's WEIGHTED form
+    Keys hash-bucket into 256 buckets (``bucketed_group_apply``), so
+    all of one key's values co-locate, and ONE vectorized pass per
+    bucket computes every quantile for every key in it: sort by (key,
+    val), locate per-key group offsets, gather the two order statistics
+    per (key, q), and interpolate with DuckDB quantile_cont's WEIGHTED form
     lo*(1-frac) + hi*frac — NOT numpy's lerp: the two differ by an ulp
     at some fracs (measured at q=0.95, frac=0.75: numpy's
     b-(b-a)*(1-t) gives ...749999999998, DuckDB ...75).
@@ -677,7 +670,7 @@ def grouped_quantiles(
 
     return bucketed_group_apply(
         ds.select_columns([key_col, val_col]), key_col, per_bucket,
-        n_buckets=n_buckets, batch_format="pandas",
+        n_buckets=256, batch_format="pandas",
     )
 
 

@@ -1538,7 +1538,6 @@ def js_divergence_by_source(
     source_col: str = "source",
     text_col: str = "text",
     max_sources: int = 64,
-    n_buckets: int | None = None,
 ):
     """Pairwise Jensen-Shannon divergence (bits) between the token
     distributions of every two corpus slices — the distribution-drift
@@ -1553,8 +1552,9 @@ def js_divergence_by_source(
     the corpus); (2) per-source totals are a tiny groupby collected under
     the loud ``max_sources`` guard; (3) tokens hash-bucket and each
     bucket pivots to a token x source count matrix and emits one partial
-    JS sum per (pair, bucket) — C(S,2) x n_buckets bounded rows; (4) the
-    driver sorts partials (deterministic float accumulation) and sums.
+    JS sum per (pair, bucket) — C(S,2) x ``default_n_buckets()`` bounded
+    rows; (4) the driver sorts partials (deterministic float
+    accumulation) and sums.
     6dp half-away round on both engines absorbs libm ln() ulps."""
     import pandas as pd
     import polars as pl
@@ -1647,8 +1647,7 @@ def js_divergence_by_source(
         )
 
     rows = bucketed_group_apply(
-        partials, "tok", per_bucket, n_buckets=n_buckets,
-        batch_format="pyarrow",
+        partials, "tok", per_bucket, batch_format="pyarrow",
     ).take_all()
     df = pd.DataFrame(rows).sort_values(
         ["src_a", "src_b", "part"], kind="mergesort"
@@ -2373,7 +2372,6 @@ def hapax_by_group(
     group_col: str = "source",
     text_col: str = "text",
     max_groups: int = 10_000,
-    n_buckets: int = 64,
 ):
     """Per-slice vocabulary richness: total token occurrences, distinct
     vocabulary size, hapax legomena count (tokens seen exactly ONCE in
@@ -2431,9 +2429,9 @@ def hapax_by_group(
         "tok",
         per_bucket,
         batch_format="pandas",
-        n_buckets=n_buckets,
-    ).take(max_groups * n_buckets + 1)
-    if len(rows) > max_groups * n_buckets:
+        n_buckets=64,
+    ).take(max_groups * 64 + 1)
+    if len(rows) > max_groups * 64:
         raise ValueError(
             f"hapax_by_group: > {max_groups} groups — raise max_groups "
             "deliberately"
@@ -2615,7 +2613,6 @@ def two_proportion_ztest(
 def bigram_cond_entropy(
     ds,
     text_col: str = "text",
-    n_buckets: int = 64,
     max_rows: int = 1_000_000,
 ):
     """Corpus-level bigram statistics: total/distinct bigram counts,
@@ -2687,7 +2684,7 @@ def bigram_cond_entropy(
         "tok",
         per_bucket,
         batch_format="pandas",
-        n_buckets=n_buckets,
+        n_buckets=64,
     ).take(max_rows)
     if not rows:
         return pa.Table.from_pydict(
@@ -2847,7 +2844,6 @@ def hill_tail_by_group(
 def vocab_coverage(
     ds,
     qs: tuple = (0.5, 0.9, 0.99),
-    n_buckets: int = 64,
     max_levels: int = 1_000_000,
 ):
     """Vocabulary budget: how many distinct tokens (taken most-frequent
@@ -2902,7 +2898,7 @@ def vocab_coverage(
         "tok",
         per_bucket,
         batch_format="pandas",
-        n_buckets=n_buckets,
+        n_buckets=64,
     ).take(max_levels + 1)
     if len(rows) > max_levels:
         raise ValueError(

@@ -77,6 +77,7 @@ import ray
 import ray.data as rd
 
 from .corpus import spans_from_document
+from .functions import cluster_cpus
 from .kernels.extract import ExtractConfig
 from .stages.extract import BATCH_DOCS, ExtractStage, overrides_to_lookup
 from .stages.normalize import normalize_spans_batch
@@ -124,13 +125,6 @@ def parquet_files(path: str) -> list[str]:
     )
 
 
-def _cluster_cpus() -> int:
-    try:
-        return max(1, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        return 8
-
-
 def plan_reads(
     files: list[str], shards: list[int] | None = None, n_units: int | None = None
 ) -> list[dict]:
@@ -161,7 +155,7 @@ def plan_reads(
             m.row_group(g).total_byte_size for m in metas for g in range(m.num_row_groups)
         )
         target = rd.DataContext.get_current().target_max_block_size
-        n_units = max(2 * _cluster_cpus(), -(-nbytes // target))
+        n_units = max(2 * cluster_cpus(), -(-nbytes // target))
     n_units = max(1, min(n_units, total))
     if total == 0:
         piece = {"path": files[0], "row_groups": [], "offset": 0, "num_rows": 0,
@@ -228,15 +222,22 @@ def read_planned(units: list[dict], columns: list[str] | None = None) -> rd.Data
 
 
 def read_corpus(path: str, columns: list[str] | None = None) -> rd.Dataset:
-    """Lance-shaped io seam: reads Lance when available, else Parquet
-    (SURVEY §7.0 — pylance is optional; single documented swap point).
-    The Parquet path is planned on the driver (``plan_reads``) and read
-    inside the stage's operator (``read_planned``)."""
-    try:
-        import lance  # noqa: F401
-    except ImportError:
-        return read_planned(plan_reads(parquet_files(path)), columns)
-    return rd.read_lance(path, columns=columns)
+    """Lance-shaped io seam (SURVEY §7.0; single documented swap point),
+    dispatched on the path: a ``.lance`` dataset reads through
+    ``rd.read_lance`` and needs pylance, which is optional, so without it
+    the read fails naming the package; any other path is Parquet,
+    planned on the driver (``plan_reads``) and read inside the stage's
+    operator (``read_planned``)."""
+    if path.rstrip("/").endswith(".lance"):
+        try:
+            import lance  # noqa: F401
+        except ImportError as e:
+            raise ImportError(
+                f"read_corpus: {path} is a Lance dataset; reading it needs "
+                "pylance (pip install pylance)"
+            ) from e
+        return rd.read_lance(path, columns=columns)
+    return read_planned(plan_reads(parquet_files(path)), columns)
 
 
 def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:

@@ -241,8 +241,7 @@ class TestJoins:
 
         # distinct key names
         got = bucketed_merge_join(
-            left, _ds(rrows).repartition(2), on="k", right_on="rk",
-            n_buckets=4, how="inner",
+            left, _ds(rrows).repartition(2), on="k", right_on="rk", how="inner",
         ).to_pandas()
         want = ldf.merge(rdf, left_on="k", right_on="rk")
         cols = ["k", "lv", "rk", "rv"]
@@ -253,7 +252,7 @@ class TestJoins:
         # one shared key name: a single key column in the output
         shared = [{"k": r["rk"], "rv": r["rv"]} for r in rrows]
         got = bucketed_merge_join(
-            left, _ds(shared).repartition(2), on="k", n_buckets=4, how="inner"
+            left, _ds(shared).repartition(2), on="k", how="inner"
         ).to_pandas()
         want = ldf.merge(rdf.rename(columns={"rk": "k"}), on="k")
         cols = ["k", "lv", "rv"]

@@ -283,8 +283,9 @@ class TestRangeWindowSum:
 
     def test_user_bucket_guard_fires(self, ray_session):
         """Composite-key bound: 2^50-us span -> SHIFT ~ 2^50 -> at most
-        8192 user ranks fit in int64; 9000 users forced into ONE bucket
-        must raise loudly rather than overflow silently."""
+        8192 user ranks fit in int64; 9000 users in ONE input block (so
+        one sorted block at any bucket width) must raise loudly rather
+        than overflow silently, naming the remedy: more blocks."""
         import pytest
         import ray
 
@@ -300,8 +301,11 @@ class TestRangeWindowSum:
                 "value": np.ones(n_users),
             }
         )
-        with pytest.raises(ray.exceptions.RayTaskError, match="n_buckets"):
-            range_window_sum(rd.from_pandas(df), n_buckets=1).materialize()
+        with pytest.raises(ray.exceptions.RayTaskError,
+                           match="split the input into more blocks"):
+            range_window_sum(rd.from_pandas(df)).materialize()
+        # the remedy the message names clears it
+        assert range_window_sum(rd.from_pandas(df).repartition(8)).count() == n_users
 
 
 class TestWeightedSample:

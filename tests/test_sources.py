@@ -99,6 +99,38 @@ def test_read_corpus_dispatches_to_lance(monkeypatch):
     assert calls == [("s3://bucket/docs.lance", {"columns": ["doc_id", "spans"]})]
 
 
+def test_read_corpus_reads_parquet_paths_as_parquet_with_lance(monkeypatch, tmp_path):
+    """The seam dispatches on the path, not on what is installed: with
+    ``lance`` importable, a ``.parquet`` path still takes the planned
+    Parquet read and never reaches ``read_lance``."""
+    def no_lance(*_a, **_k):
+        raise AssertionError("read_lance called for a parquet path")
+
+    planned = []
+    plan_reads = pipeline.plan_reads
+
+    def spy(files, *a, **k):
+        planned.append(files)
+        return plan_reads(files, *a, **k)
+
+    monkeypatch.setitem(sys.modules, "lance", types.ModuleType("lance"))
+    monkeypatch.setattr(rd, "read_lance", no_lance)
+    monkeypatch.setattr(pipeline, "plan_reads", spy)
+    path = tmp_path / "documents.parquet"
+    pd.DataFrame({"doc_id": [1, 2], "text": ["a", "b"]}).to_parquet(path)
+    ds = pipeline.read_corpus(str(path), columns=["doc_id"])
+    assert planned == [[str(path)]]
+    assert sorted(r["doc_id"] for r in ds.take_all()) == [1, 2]
+
+
+def test_read_corpus_lance_path_without_pylance_fails_loudly(monkeypatch):
+    import pytest
+
+    monkeypatch.setitem(sys.modules, "lance", None)  # import lance -> ImportError
+    with pytest.raises(ImportError, match="pylance"):
+        pipeline.read_corpus("s3://bucket/docs.lance/", columns=["doc_id"])
+
+
 def test_read_corpus_falls_back_to_parquet(monkeypatch, tmp_path):
     """Without ``lance`` the seam reads Parquet, schema metadata stripped."""
     def no_lance(*_a, **_k):
