@@ -11,23 +11,26 @@ metrics) commits it. A shard is complete iff its manifest exists, so a
 partial write can never look finished. Resume = set-difference against
 committed manifests (a metadata-only anti-join).
 
-Shard planning: a multi-file input shards by file groups (lineage = the
-file list; this is the 100 TB path where one shard = one input partition
-directory). A single-file input falls back to hash-of-doc_id shards
-(test-scale convenience).
+Shard planning: one cut rule, ``pipeline.plan_reads``, the one that
+cuts read tasks. The input's files, in order, are whole-file row ranges
+read from their footers; ``plan_shards`` cuts them into ``n_shards``
+contiguous row ranges of equal row count (within one row), which may
+span files. A shard's lineage is its ranges (path, first row, row
+count), so a file whose row count changes moves the ranges and reruns
+the shards they cover, and an invalidated doc_id's owner is found by
+reading the doc_id column of the shards' ranges.
 
 One run covers every pending shard (planned, not already committed) with
 one Dataset per phase: a single planned read of the pending shards'
-inputs (``pipeline.plan_reads``: footers on the driver, equal-row read
-units that may span files) that tags each row with its shard id as it
-loads it (a file-group shard's id rides on each piece of a unit; a
-hash shard's is the row's doc_id hash, set by a map after the read),
-and a single ``write_parquet(partition_cols=[SHARD_COL])`` that writes
-one directory per shard, so a two-phase job runs two Datasets whatever
-its shard count, and a hash-sharded file is read once per phase. The
-read, the tag and the write fuse with the stage, so each phase is one
-operator. Assigning rows to shards at ingest, not re-reading the input
-per shard, is the "Partition, Don't Sort!" (VLDB 2024) point. Both
+ranges (``pipeline.plan_reads`` again: equal-row read units that may
+span shards), each range tagged with its shard id, so every row carries
+its shard id as it loads, and a single
+``write_parquet(partition_cols=[SHARD_COL])`` that writes one directory
+per shard, so a two-phase job runs two Datasets whatever its shard
+count, and reads only the pending shards' rows. The read and the write
+fuse with the stage, so each phase is one operator. Assigning rows to
+shards at ingest, not re-reading the input per shard, is the
+"Partition, Don't Sort!" (VLDB 2024) point. Both
 phases end in one step (``_run_phase``): the partitioned write, then each
 shard's directory renamed into place under the phase's root (``detect/``
 before the recognize phase reads it back, the DETECT_DONE boundary; the
@@ -52,9 +55,8 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -66,12 +68,14 @@ from .pipeline import (
     SHARD_COL,
     PipelineOptions,
     build_extract_pipeline,
+    file_ranges,
     parquet_files,
     plan_reads,
     read_planned,
+    read_unit,
     scope_tenant,
 )
-from .rng import hash_str, hash_str_np
+from .rng import hash_str
 
 # Most shards one run covers. Ray's partitioned write leaves pyarrow's
 # ``write_dataset(max_partitions=1024)`` default in place, which fails a
@@ -80,54 +84,39 @@ from .rng import hash_str, hash_str_np
 # shards runs one run after another, each committing on its own.
 RUN_SHARDS = 1024
 
+# First retry delay of a failed run; each later one doubles
+# (``_retry_delay_s``).
+RETRY_BASE_S = 1.0
+
 
 @dataclass
 class ShardPlan:
     shard_id: int
-    files: list[str] = field(default_factory=list)   # file-group shard
-    hash_mod: tuple[int, int] | None = None          # (i, n) doc_id-hash shard
-    input_path: str | None = None
+    ranges: list[dict]  # parquet row ranges {"path", "start", "num_rows"}
 
 
-def plan_shards(input_path: str, n_shards: int) -> list[ShardPlan]:
+def plan_shards(in_path: str, n_shards: int) -> list[ShardPlan]:
+    """The input's rows cut by ``plan_reads`` into ``n_shards`` contiguous
+    row ranges of equal row count. A shard past the row count gets an
+    empty range at the input's end, so it still commits, empty. A file
+    whose footer does not parse fails here, naming it, before any run."""
     if n_shards < 1:
         raise ValueError(f"n_shards must be at least 1, got {n_shards}")
-    if os.path.isdir(input_path):
-        files = parquet_files(input_path)
-        if len(files) >= n_shards:
-            plans = [ShardPlan(i, files=[]) for i in range(n_shards)]
-            for k, f in enumerate(files):
-                plans[k % n_shards].files.append(f)
-            return plans
+    ranges = file_ranges(parquet_files(in_path))
+    units = plan_reads(ranges, n_units=n_shards)
+    end = dict(ranges[-1], start=ranges[-1]["num_rows"], num_rows=0)
     return [
-        ShardPlan(i, hash_mod=(i, n_shards), input_path=input_path)
+        ShardPlan(i, units[i]["pieces"] if i < len(units) else [end])
         for i in range(n_shards)
     ]
 
 
 def _pending_dataset(plans: list[ShardPlan]) -> rd.Dataset:
-    """The union of the ``plans`` shards' inputs, read once, each row
-    tagged with its shard id in ``SHARD_COL``: a file-group shard's rows by
-    the planned read, from their file; a hash shard's by a map after it,
-    from their doc_id."""
-    if plans[0].files:
-        files = [f for p in plans for f in p.files]
-        return read_planned(plan_reads(files, [p.shard_id for p in plans for _ in p.files]))
-    n = plans[0].hash_mod[1]
-    pending = pa.array([p.shard_id for p in plans], pa.int32())
-
-    def tag_shard(batch: pa.Table) -> pa.Table:
-        # vectorized FNV-1a (bit-equal to hash_str per row, so existing
-        # manifests' shard assignment is preserved across resume); rows of
-        # committed shards drop here
-        h = hash_str_np(batch.column("doc_id")) % np.uint64(n)
-        sid = pa.array(h.astype(np.int32))
-        return batch.append_column(SHARD_COL, sid).filter(
-            pc.is_in(sid, value_set=pending)
-        )
-
-    ds = read_planned(plan_reads(parquet_files(plans[0].input_path)))
-    return ds.map_batches(tag_shard, **PipelineOptions().task_kwargs())
+    """The ``plans`` shards' rows, one planned read of their ranges, each
+    row tagged with its shard id in ``SHARD_COL``."""
+    return read_planned(
+        plan_reads([dict(r, shard=p.shard_id) for p in plans for r in p.ranges])
+    )
 
 
 def _run_phase(
@@ -320,11 +309,13 @@ def _run_pending(
         det = build_extract_pipeline(ds, cfg, recognize=False)
         dirs = _run_phase(det, out_dir, os.path.join(out_dir, "detect"), plans, "detect")
         stage_times["detect_s"] = round(time.perf_counter() - t, 4)
-        detected = [(f, sid) for sid, d in dirs.items() for f in parquet_files(d)]
+        detected = [
+            dict(r, shard=sid) for sid, d in dirs.items()
+            for r in file_ranges(parquet_files(d))
+        ]
         # no detect file at all: every pending shard is empty, and so is ds
         if detected:
-            files, sids = zip(*detected)
-            ds = read_planned(plan_reads(list(files), list(sids)))
+            ds = read_planned(plan_reads(detected))
     t = time.perf_counter()
     out = build_extract_pipeline(
         ds, cfg, overrides=overrides, result_overrides=result_overrides
@@ -342,11 +333,7 @@ def _run_pending(
         st = _written_stats(part_dir)
         manifest = {
             "partition_id": sid,
-            "lineage": {
-                "files": plan.files,
-                "hash_mod": list(plan.hash_mod) if plan.hash_mod else None,
-                "input_path": plan.input_path,
-            },
+            "lineage": {"ranges": plan.ranges},
             **st,
             "n_shards": n_shards,
             "config_sig": sig,
@@ -367,37 +354,24 @@ def _run_pending(
 
 
 def _manifest_valid(manifest: dict, plan: ShardPlan, n_shards: int, sig: str) -> bool:
-    """A committed manifest only counts for resume if its lineage (input
-    files / hash partition / path), shard count and config fingerprint all
-    match the freshly computed plan — re-running with a different --shards,
-    input directory or config must rerun the shard, not silently mix
-    incompatible outputs."""
-    lin = manifest.get("lineage") or {}
+    """A committed manifest only counts for resume if its lineage (the
+    shard's row ranges), shard count and config fingerprint all match the
+    freshly computed plan — re-running with a different --shards, input or
+    config must rerun the shard, not silently mix incompatible outputs."""
     return (
-        lin.get("files") == plan.files
-        and lin.get("hash_mod") == (list(plan.hash_mod) if plan.hash_mod else None)
-        and lin.get("input_path") == plan.input_path
+        (manifest.get("lineage") or {}).get("ranges") == plan.ranges
         and manifest.get("n_shards") == n_shards
         and manifest.get("config_sig") == sig
     )
 
 
 def _shard_owns_docs(plan: ShardPlan, doc_ids: set[str]) -> bool:
-    """Whether any of ``doc_ids`` belongs to this shard's INPUT — the hash
-    rule for hash shards (metadata-only); the doc_id column of the shard's
-    files otherwise (a pruned single-column read of just this shard's
-    files). Input-side on purpose: a doc dropped from the output by the
-    dedup pre-pass still maps to its owning shard."""
-    if plan.hash_mod is not None:
-        i, n = plan.hash_mod
-        return any(hash_str(d) % n == i for d in doc_ids)
-    import pyarrow.parquet as pq
-
-    for f in plan.files:
-        col = pq.read_table(f, columns=["doc_id"]).column("doc_id").to_pylist()
-        if any(str(v) in doc_ids for v in col):
-            return True
-    return False
+    """Whether any of ``doc_ids`` is in this shard's INPUT: a pruned read
+    of the doc_id column of just its ranges. Input-side on purpose: a doc
+    dropped from the output by the dedup pre-pass still maps to its
+    owning shard."""
+    ids = read_unit({"pieces": plan.ranges}, ["doc_id"]).column("doc_id")
+    return any(str(v) in doc_ids for v in ids.to_pylist())
 
 
 def _retry_delay_s(shard_id: int, attempt: int, base_s: float) -> float:
@@ -410,7 +384,7 @@ def _retry_delay_s(shard_id: int, attempt: int, base_s: float) -> float:
 
 
 def run_job(
-    input_path: str,
+    in_path: str,
     out_dir: str,
     n_shards: int = 8,
     cfg: ExtractConfig | None = None,
@@ -418,7 +392,6 @@ def run_job(
     resume: bool = True,
     two_phase: bool = False,
     shard_retries: int = 2,
-    retry_base_s: float = 1.0,
     result_overrides: list[dict] | None = None,
     dedup: str = "none",
     invalidate_doc_ids: list[str] | None = None,
@@ -453,7 +426,7 @@ def run_job(
     ``out_dir/dedup/`` (atomic, reused on resume), and the run drops
     non-survivors before extraction — the training-data composition
     read -> dedup -> extract."""
-    plans = plan_shards(input_path, n_shards)
+    plans = plan_shards(in_path, n_shards)
     os.makedirs(out_dir, exist_ok=True)
     sig = config_sig(cfg, overrides, two_phase, result_overrides, dedup, tenant)
 
@@ -468,13 +441,10 @@ def run_job(
         surv_dir = os.path.join(out_dir, "dedup")
         surv_meta_path = os.path.join(surv_dir, "meta.json")
         # the survivors list depends on BOTH the config AND the input —
-        # validate input lineage like _manifest_valid does, else adding an
-        # input file on resume would reuse a stale list and silently drop
-        # every new document
-        inputs = sorted({f for p in plans for f in p.files}) or [
-            plans[0].input_path
-        ]
-        meta = {"config_sig": sig, "inputs": inputs}
+        # validate it against the shards' row ranges like _manifest_valid
+        # does, else a new or grown input file on resume would reuse a
+        # stale list and silently drop every new document
+        meta = {"config_sig": sig, "ranges": [r for p in plans for r in p.ranges]}
         have = False
         if resume and os.path.isfile(surv_meta_path):
             with open(surv_meta_path) as f:
@@ -499,7 +469,13 @@ def run_job(
                         os.path.join(surv_dir, f), columns=["doc_id"]
                     ).column("doc_id").to_pylist()
                 )
-        survivors_ref = ray.put(pa.array(sorted(surv)))
+        ids = sorted(surv)
+        survivors_ref = ray.put(pa.array(ids))
+        # the survivors shape every shard's output, so the manifests are
+        # validated against them too: a copy added anywhere in the input
+        # that changes which doc survives reruns every shard, not only
+        # the shards whose ranges moved
+        sig = hashlib.sha256("\n".join([sig, *ids]).encode()).hexdigest()[:16]
     done: set[int] = set()
     invalidated: list[int] = []
     for sid in completed_shards(out_dir):
@@ -546,7 +522,7 @@ def run_job(
             except Exception:
                 if attempt == shard_retries:
                     raise
-                time.sleep(_retry_delay_s(run[0].shard_id, attempt, retry_base_s))
+                time.sleep(_retry_delay_s(run[0].shard_id, attempt, RETRY_BASE_S))
     manifests = load_manifests(out_dir)
     return {
         "out_dir": out_dir,

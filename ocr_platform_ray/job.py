@@ -46,13 +46,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init(num_cpus=...) when starting a fresh local session")
     args = p.parse_args(argv)
-
-    from .checkpoint import plan_shards
-
-    try:
-        plan_shards(args.input, args.shards)  # reject a bad --shards before a session starts
-    except ValueError as e:
-        p.error(str(e))
+    if args.shards < 1:  # before a session starts, and without reading the input
+        p.error(f"n_shards must be at least 1, got {args.shards}")
 
     import ray
 

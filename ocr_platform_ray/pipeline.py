@@ -32,14 +32,14 @@ Physical design (SURVEY §4, §7.4):
   starts per Dataset (a two-phase job executes one per phase).
   Task maps also let Ray Data fuse the normalize prefix into the stage's
   operator, and cannot reserve every CPU the way a fixed actor pool can;
-- every task on the extraction path (the read, the job's shard tag,
-  tenant scope and dedup-survivor filter, normalize, the stage and the
-  job's writes) takes the same remote args,
-  ``PipelineOptions().remote_args()``, and the stage sets no batch size,
-  so Ray Data fuses every extraction Dataset into one operator from the
-  read to the stage (to the write, in a checkpoint phase), one task per
-  read unit: an operator with different args, or a map with a batch
-  size, would start an operator of its own;
+- every task on the extraction path (the read, the job's tenant scope
+  and dedup-survivor filter, normalize, the stage and the job's writes)
+  takes the same remote args, ``PipelineOptions().remote_args()``, and
+  the stage sets no batch size, so Ray Data fuses every extraction
+  Dataset into one operator from the read to the stage (to the write,
+  in a checkpoint phase), one task per read unit: an operator with
+  different args, or a map with a batch size, would start an operator
+  of its own;
 - extraction Datasets run without Ray Data's per-operator resource
   reservation (``_stage_map``). The reservation allocator holds at least
   one task's CPU for every operator, so on a 2-CPU session a light
@@ -48,12 +48,13 @@ Physical design (SURVEY §4, §7.4):
   never on the global one, so query Datasets keep Ray's default;
 - reads are planned on the driver, not by Ray ("Partition, Don't
   Sort!", VLDB 2024: size partitions once, at ingest). ``plan_reads``
-  reads only the parquet footers and cuts the files' rows into
-  contiguous units of equal row count; ``read_planned`` turns them into
-  driver-side items and one map that reads each unit's row groups, so
-  the read is fused into the stage's operator (operator fusion, "ML
-  Inference Pipeline Execution Using Pure SQL Based on Operator Fusion",
-  ICDE 2025). A Ray ``read_parquet`` would instead sample the files with
+  cuts parquet row ranges (whole files from their footers,
+  ``file_ranges``) into contiguous units of equal row count, the one cut
+  rule for read tasks and for a job's shards; ``read_planned`` turns
+  them into driver-side items and one map that reads each unit's row
+  groups, so the read is fused into the stage's operator (operator
+  fusion, "ML Inference Pipeline Execution Using Pure SQL Based on
+  Operator Fusion", ICDE 2025). A Ray ``read_parquet`` would instead sample the files with
   remote tasks before the plan exists, and read as an operator of its
   own in front of the stage (a split read, ``ReadParquet->SplitBlocks``,
   is never fused), whose task holds a CPU while the stage's second task
@@ -110,8 +111,8 @@ class PipelineOptions:
 
 
 # The column that tags each row of a checkpoint run with its shard id
-# (``plan_reads``' shard tags, or the job's doc_id hash). The phase writes
-# partition on it, so the committed files never hold it.
+# (the ``shard`` of its ``plan_reads`` range). The phase writes partition
+# on it, so the committed files never hold it.
 SHARD_COL = "_shard"
 
 
@@ -125,59 +126,60 @@ def parquet_files(path: str) -> list[str]:
     )
 
 
-def plan_reads(
-    files: list[str], shards: list[int] | None = None, n_units: int | None = None
-) -> list[dict]:
-    """Cut the rows of ``files``, in order, into contiguous read units of
-    equal row count (within one row), from the parquet footers alone: no
-    data page is read and no Ray task runs. ``n_units`` defaults to
-    max(2 x CPU, the footers' uncompressed bytes over
+def file_ranges(paths: list[str]) -> list[dict]:
+    """The whole-file row range ``{"path", "start": 0, "num_rows"}`` of
+    each of ``paths``, from its parquet footer. A footer that does not
+    parse fails here with pyarrow's error type, naming its file (pyarrow's
+    own message names none)."""
+    out = []
+    for p in paths:
+        try:
+            n = pq.read_metadata(p).num_rows
+        except (pa.ArrowInvalid, OSError) as e:
+            raise type(e)(f"{p}: {e}") from e
+        out.append({"path": p, "start": 0, "num_rows": n})
+    return out
+
+
+def plan_reads(ranges: list[dict], n_units: int | None = None) -> list[dict]:
+    """Cut the parquet row ranges ``ranges`` (``{"path", "start",
+    "num_rows"}``, each with an optional ``shard`` id), in order, into
+    contiguous read units of equal row count (within one row): no data
+    page is read and no Ray task runs. ``n_units`` defaults to max(2 x
+    CPU, the footers' uncompressed bytes of the ranges over
     ``DataContext.target_max_block_size``), so every CPU has stage tasks
     and no unit outgrows a block; it never exceeds the row count. A unit
-    may span files. Each is ``{"pieces": [{"path", "row_groups",
-    "offset", "num_rows", "shard"}, ...]}``: the row groups of one file
-    the unit overlaps, and the slice of them it keeps; ``shard`` is
-    ``shards[i]`` for ``files[i]``, or None. An input with no rows plans
-    one unit of one empty piece, so its read still has the schema."""
-    if not files:
-        raise ValueError("plan_reads needs at least one file")
-    metas = [pq.read_metadata(f) for f in files]
-    # first global row of each file, and file-local first row of each of
-    # its row groups (each list ends with the total)
-    file_at = [0, *accumulate(m.num_rows for m in metas)]
-    group_at = [
-        [0, *accumulate(m.row_group(g).num_rows for g in range(m.num_row_groups))]
-        for m in metas
-    ]
-    total = file_at[-1]
+    may span ranges and files. Each is ``{"pieces": [range, ...]}``: the
+    part of each range the unit keeps, with the range's other keys. An
+    input with no rows plans one unit of one empty piece, so its read
+    still has the schema."""
+    if not ranges:
+        raise ValueError("plan_reads needs at least one range")
+    # first row of each range in the concatenation (ends with the total)
+    at = [0, *accumulate(r["num_rows"] for r in ranges)]
+    total = at[-1]
     if n_units is None:
-        nbytes = sum(
-            m.row_group(g).total_byte_size for m in metas for g in range(m.num_row_groups)
-        )
+        row_bytes = {}
+        for path in {r["path"] for r in ranges}:
+            m = pq.read_metadata(path)
+            size = sum(m.row_group(g).total_byte_size for g in range(m.num_row_groups))
+            row_bytes[path] = size / max(m.num_rows, 1)
+        nbytes = sum(row_bytes[r["path"]] * r["num_rows"] for r in ranges)
         target = rd.DataContext.get_current().target_max_block_size
-        n_units = max(2 * cluster_cpus(), -(-nbytes // target))
+        n_units = max(2 * cluster_cpus(), int(-(-nbytes // target)))
     n_units = max(1, min(n_units, total))
     if total == 0:
-        piece = {"path": files[0], "row_groups": [], "offset": 0, "num_rows": 0,
-                 "shard": shards[0] if shards else None}
-        return [{"pieces": [piece]}]
+        return [{"pieces": [dict(ranges[0], num_rows=0)]}]
     units = []
     for u in range(n_units):
         lo, hi = u * total // n_units, (u + 1) * total // n_units
         pieces = []
-        i = bisect_right(file_at, lo) - 1
-        while file_at[i] < hi:
-            # the unit's rows in file i, file-local: [a, b)
-            a, b = max(lo, file_at[i]) - file_at[i], min(hi, file_at[i + 1]) - file_at[i]
+        i = bisect_right(at, lo) - 1
+        while at[i] < hi:
+            # the unit's rows in range i, range-local: [a, b)
+            a, b = max(lo, at[i]) - at[i], min(hi, at[i + 1]) - at[i]
             if a < b:
-                first = bisect_right(group_at[i], a) - 1
-                pieces.append({
-                    "path": files[i],
-                    "row_groups": list(range(first, bisect_left(group_at[i], b))),
-                    "offset": a - group_at[i][first],
-                    "num_rows": b - a,
-                    "shard": shards[i] if shards else None,
-                })
+                pieces.append(dict(ranges[i], start=ranges[i]["start"] + a, num_rows=b - a))
             i += 1
         units.append({"pieces": pieces})
     return units
@@ -185,19 +187,26 @@ def plan_reads(
 
 def read_unit(unit: dict, columns: list[str] | None = None) -> pa.Table:
     """The rows of one ``plan_reads`` unit: of each piece, only the row
-    groups it overlaps, sliced to the piece, with the schema metadata
-    stripped (pandas-written parquet carries a ``{b'pandas': ...}`` dict;
+    groups of its file it overlaps (found from the footer opening the file
+    reads), sliced to the piece, with the schema metadata stripped
+    (pandas-written parquet carries a ``{b'pandas': ...}`` dict;
     ``hash(pa.Schema)`` raises on it, so Ray's block-bundling
     ``unify_schemas`` would log "Failed to hash the schemas" in every
     worker). When the pieces carry shard ids, each row gets its piece's
     in ``SHARD_COL``."""
     tables = []
     for p in unit["pieces"]:
+        lo, hi = p["start"], p["start"] + p["num_rows"]
         with pq.ParquetFile(p["path"]) as f:
-            t = f.read_row_groups(p["row_groups"], columns=columns)
-        tables.append(t.slice(p["offset"], p["num_rows"]).replace_schema_metadata(None))
+            m = f.metadata
+            # file-local first row of each row group (ends with the total)
+            at = [0, *accumulate(m.row_group(g).num_rows for g in range(m.num_row_groups))]
+            first = bisect_right(at, lo) - 1
+            groups = list(range(first, bisect_left(at, hi))) if hi > lo else []
+            t = f.read_row_groups(groups, columns=columns)
+        tables.append(t.slice(lo - at[first], p["num_rows"]).replace_schema_metadata(None))
     out = pa.concat_tables(tables)
-    if unit["pieces"][0]["shard"] is not None:
+    if "shard" in unit["pieces"][0]:
         rows = [p["num_rows"] for p in unit["pieces"]]
         sids = np.repeat([p["shard"] for p in unit["pieces"]], rows).astype(np.int32)
         out = out.append_column(SHARD_COL, pa.array(sids, pa.int32()))
@@ -237,7 +246,7 @@ def read_corpus(path: str, columns: list[str] | None = None) -> rd.Dataset:
                 "pylance (pip install pylance)"
             ) from e
         return rd.read_lance(path, columns=columns)
-    return read_planned(plan_reads(parquet_files(path)), columns)
+    return read_planned(plan_reads(file_ranges(parquet_files(path))), columns)
 
 
 def corpus_from_documents(sf_dir: str, replicate: int = 1) -> rd.Dataset:

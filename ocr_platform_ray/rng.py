@@ -39,43 +39,6 @@ def hash_str(s: str) -> int:
     return h
 
 
-def hash_str_np(col) -> "object":
-    """Vectorized :func:`hash_str` over an Arrow string column — bit-equal
-    per row (same FNV-1a byte stream), but the sequential byte loop runs
-    over byte POSITIONS (max string length, ~20 for doc ids) with every
-    row updated in one numpy step, instead of per (row x byte) in Python.
-    Returns uint64 ndarray."""
-    import numpy as np
-    import pyarrow as pa
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    out = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)
-    if n == 0:
-        return out
-    offsets = np.frombuffer(col.buffers()[1], dtype=np.int32)[
-        col.offset : col.offset + n + 1
-    ].astype(np.int64)
-    data = (
-        np.frombuffer(col.buffers()[2], dtype=np.uint8)
-        if col.buffers()[2]
-        else np.empty(0, np.uint8)
-    )
-    starts = offsets[:-1]
-    lens = np.diff(offsets)
-    max_len = int(lens.max()) if n else 0
-    prime = np.uint64(0x100000001B3)
-    with np.errstate(over="ignore"):
-        for k in range(max_len):
-            alive = lens > k
-            if not alive.any():
-                break
-            b = data[starts[alive] + k].astype(np.uint64)
-            out[alive] = (out[alive] ^ b) * prime
-    return out
-
-
 class Rng:
     """Sequential splitmix64 stream."""
 

@@ -222,24 +222,3 @@ class TestMedia:
         blocks = extract_image_span(ref, ExtractConfig())
         assert [b.text for b in blocks] == [t for segs in truth for t in segs]
         assert all(b.conf == 1.0 for b in blocks)
-
-
-class TestHashStrNp:
-    def test_bit_equal_to_scalar(self):
-        import pyarrow as pa
-
-        from ocr_platform_ray.rng import hash_str, hash_str_np
-
-        vals = ["doc-000001", "", "a", "köln-漢字", "x" * 300, "doc-999"]
-        assert hash_str_np(pa.array(vals)).tolist() == [hash_str(v) for v in vals]
-
-    def test_empty_and_chunked(self):
-        import pyarrow as pa
-
-        from ocr_platform_ray.rng import hash_str, hash_str_np
-
-        assert hash_str_np(pa.array([], pa.string())).tolist() == []
-        chunked = pa.chunked_array([["ab", "cd"], ["ef"]])
-        assert hash_str_np(chunked).tolist() == [
-            hash_str(v) for v in ("ab", "cd", "ef")
-        ]

@@ -9,7 +9,7 @@ that two stage tasks overlap under a consumer map, that the global
 context is left alone, and that every extraction read is planned on the
 driver (``pipeline.plan_reads``) and runs as a map fused into the stage's
 operator: the flagship, and each phase of a job over many files or over
-one hash-sharded file, is one operator after its driver-side input, from
+one file cut into shards, is one operator after its driver-side input, from
 the read to the stage (and the write), with 2 x CPU tasks. No
 ``ReadParquet`` or ``SplitBlocks`` operator is left on the path.
 
@@ -124,10 +124,10 @@ try:
                 print("stage_op", line)
 
     # 4. a tenant-scoped, deduplicated two-phase job with a result edit
-    # over one file in 4 hash shards: the shard tag, tenant scope and
-    # survivor filter take the stage's remote args, so they fuse into the
-    # stage's operator, the edit adds no operator, and every phase reads
-    # the file once for all shards
+    # over one file in 4 row-range shards: the tenant scope and survivor
+    # filter take the stage's remote args, so they fuse into the stage's
+    # operator, the edit adds no operator, and every phase reads the file
+    # once for all shards
     from ocr_platform_ray import checkpoint, corpus
     shard = corpus.generate_corpus_table(40, seed=3)
     shard = shard.append_column(
@@ -159,7 +159,7 @@ try:
                        result_overrides=edit)
     print_ops("hash_op")
 
-    # 5. two file-group shards of 2 x NCPU files each, two-phase and fused:
+    # 5. two shards of 2 x NCPU files each, two-phase and fused:
     # the reads and writes take the stage's remote args and the stage sets
     # no batch size, so each phase is one operator over both shards
     in_dir = os.path.join(work, "files")
@@ -258,18 +258,18 @@ def _phase_ops(out: str, tag: str) -> dict:
 
 
 def test_hash_sharded_detect_phase_is_one_operator(child_out):
-    """The shard tag, tenant scope and dedup-survivor filter the job adds
-    before the stage carry the stage's remote args: the detect phase of a
-    scoped job over one file in hash shards is one operator after its
-    read units, from the planned read through the hash tag to the stage
-    and the write, with 2 x CPU tasks (a single file no longer reads
-    split)."""
+    """The tenant scope and dedup-survivor filter the job adds before the
+    stage carry the stage's remote args, and the planned read tags each
+    row with its shard: the detect phase of a scoped job over one file in
+    4 row-range shards is one operator after its read units, from the
+    planned read to the stage and the write, with 2 x CPU tasks (a single
+    file no longer reads split)."""
     out, err = child_out
     ops = _phase_ops(out, "hash_op").get("detect")
     assert ops and len(ops) == 1, out or err
     _assert_one_operator_after_input(ops[0], "MapBatches(ExtractStage)->Write")
     assert re.search(
-        r"MapBatches\(read_units\)->MapBatches\(tag_shard\)->MapBatches\(in_tenant\)->"
+        r"MapBatches\(read_units\)->MapBatches\(in_tenant\)->"
         r"MapBatches\(keep_survivors\)->.*MapBatches\(ExtractStage\)->Write", ops[0][1]
     ), ops
 
@@ -286,7 +286,7 @@ def test_result_edit_merges_inside_the_stage(child_out):
 
 
 def test_hash_shards_read_their_input_once(child_out):
-    """A two-phase job over one file in 4 hash shards runs 2 Datasets,
+    """A two-phase job over one file in 4 row-range shards runs 2 Datasets,
     one per phase, and each reads its input through one planned read (a
     Dataset per shard and phase would make 8)."""
     out, err = child_out

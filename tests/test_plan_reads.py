@@ -1,9 +1,12 @@
 """Driver-planned reads (``pipeline.plan_reads`` + ``read_unit``): the
-footer-only planner cuts the rows of a file list into contiguous units of
-equal row count, and the reader loads each unit from only the row groups
-it overlaps, metadata stripped, shard-tagged when the plan carries shard
-ids. The checkpoint's shard tags (file rule and doc_id-hash rule) must
-stay bit-equal to the rules older manifests were committed under."""
+planner cuts parquet row ranges (whole files from their footers,
+``file_ranges``) into contiguous units of equal row count, and the reader
+loads each unit from only the row groups it overlaps, metadata stripped,
+shard-tagged when the ranges carry shard ids. The checkpoint's shards
+are the same cut, and its pending read tags each row with the shard whose
+range holds it."""
+
+import re
 
 import numpy as np
 import pandas as pd
@@ -12,8 +15,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from ocr_platform_ray import checkpoint, corpus
-from ocr_platform_ray.pipeline import SHARD_COL, plan_reads, read_unit
-from ocr_platform_ray.rng import hash_str
+from ocr_platform_ray.pipeline import SHARD_COL, file_ranges, plan_reads, read_unit
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,7 @@ def test_units_read_back_equal_the_files(files, n_units):
     """Read in order, the units are the files' rows in order (more units
     than rows plan one row each); each unit holds its equal share within
     one row; no schema metadata survives."""
-    units = plan_reads(files, n_units=n_units)
+    units = plan_reads(file_ranges(files), n_units=n_units)
     total = 33
     assert len(units) == min(n_units, total)
     tables = [read_unit(u) for u in units]
@@ -71,7 +73,7 @@ def test_units_read_back_equal_the_files(files, n_units):
 
 
 def test_single_file_and_columns(files):
-    units = plan_reads(files[:1], n_units=4)
+    units = plan_reads(file_ranges(files[:1]), n_units=4)
     assert [sum(p["num_rows"] for p in u["pieces"]) for u in units] == [5, 6, 6, 6]
     got = pa.concat_tables([read_unit(u, ["v"]) for u in units])
     assert got.column_names == ["v"]
@@ -81,14 +83,15 @@ def test_single_file_and_columns(files):
 def test_empty_input_keeps_the_schema(files):
     """An input with no rows plans one empty unit that still reads the
     schema."""
-    (unit,) = plan_reads(files[1:2], n_units=8)
+    (unit,) = plan_reads(file_ranges(files[1:2]), n_units=8)
     t = read_unit(unit)
     assert t.num_rows == 0 and t.column_names == ["doc_id", "v"]
 
 
 def test_only_overlapping_row_groups_are_read(files, monkeypatch):
-    """Each piece names exactly the row groups of its file that the unit
-    overlaps, and the reader reads those and no others."""
+    """Each piece is exactly the file-local rows of its file that the
+    unit holds, and the reader reads the row groups those rows overlap and
+    no others."""
     reads = []
     real = pq.ParquetFile.read_row_groups
 
@@ -98,7 +101,7 @@ def test_only_overlapping_row_groups_are_read(files, monkeypatch):
 
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
     starts = np.cumsum([0] + [pq.read_metadata(f).num_rows for f in files])
-    units = plan_reads(files, n_units=6)
+    units = plan_reads(file_ranges(files), n_units=6)
     total = int(starts[-1])
     for u, unit in enumerate(units):
         lo, hi = u * total // len(units), (u + 1) * total // len(units)
@@ -106,8 +109,9 @@ def test_only_overlapping_row_groups_are_read(files, monkeypatch):
         for k, f in enumerate(files):
             a, b = max(lo, starts[k]) - starts[k], min(hi, starts[k + 1]) - starts[k]
             if a < b:
-                want.append((f, _overlapping_groups(f, a, b)))
-        assert [(p["path"], p["row_groups"]) for p in unit["pieces"]] == want
+                want.append(({"path": f, "start": int(a), "num_rows": int(b - a)},
+                             _overlapping_groups(f, a, b)))
+        assert unit["pieces"] == [p for p, _ in want]
         reads.clear()
         read_unit(unit)
         assert reads == [g for _, g in want]
@@ -118,49 +122,79 @@ def test_only_overlapping_row_groups_are_read(files, monkeypatch):
 def test_default_unit_count_is_two_per_cpu(files):
     """Without ``n_units``, a small input plans 2 x CPU units (the test
     session has 4 CPUs)."""
-    assert len(plan_reads(files)) == 8
+    assert len(plan_reads(file_ranges(files))) == 8
 
 
 def test_file_shard_tags_follow_the_path_rule(files):
-    """With shard ids, every row carries its file's shard id, the rule the
-    tag from each row's path applied."""
+    """With shard ids on whole-file ranges, every row carries its file's
+    shard id."""
     sids = [3, 1, 0, 7]
-    got = pa.concat_tables([read_unit(u) for u in plan_reads(files, sids, n_units=5)])
+    ranges = [dict(r, shard=s) for r, s in zip(file_ranges(files), sids)]
+    got = pa.concat_tables([read_unit(u) for u in plan_reads(ranges, n_units=5)])
     want = np.repeat(sids, [pq.read_metadata(f).num_rows for f in files])
     assert got.column(SHARD_COL).type == pa.int32()
     assert got.column(SHARD_COL).to_numpy().tolist() == want.tolist()
     assert got.drop_columns([SHARD_COL]).equals(_concat(files))
 
 
+@pytest.mark.parametrize("n_units", [1, 4, 9])
+def test_sub_file_ranges_read_their_rows_and_tags(files, n_units):
+    """Ranges that start and end inside files, out of file order and with
+    an empty one among them, read back as exactly their rows, in range
+    order, each row tagged with its range's shard id."""
+    ranges = [
+        {"path": files[3], "start": 2, "num_rows": 5, "shard": 0},
+        {"path": files[0], "start": 7, "num_rows": 9, "shard": 2},
+        {"path": files[0], "start": 23, "num_rows": 0, "shard": 5},
+        {"path": files[0], "start": 0, "num_rows": 7, "shard": 1},
+    ]
+    got = pa.concat_tables([read_unit(u) for u in plan_reads(ranges, n_units=n_units)])
+    want = pa.concat_tables([
+        pq.read_table(r["path"]).replace_schema_metadata(None).slice(r["start"], r["num_rows"])
+        for r in ranges
+    ])
+    assert got.drop_columns([SHARD_COL]).equals(want)
+    assert got.column(SHARD_COL).to_pylist() == [0] * 5 + [2] * 9 + [1] * 7
+
+
+@pytest.mark.parametrize("footer, error, message", [
+    (None, pa.ArrowInvalid, "magic bytes"),
+    (b"\xee", OSError, "deserialize thrift"),
+])
+def test_corrupt_footer_fails_naming_the_file(files, tmp_path, footer, error, message):
+    """pyarrow's footer errors (no parquet magic; a footer that does not
+    decode) name no file; ``file_ranges`` adds it and keeps the type."""
+    bad = tmp_path / "bad.parquet"
+    if footer is None:
+        bad.write_bytes(b"not a parquet file")
+    else:
+        data = bytearray(open(files[0], "rb").read())
+        size = int.from_bytes(data[-8:-4], "little")
+        data[-8 - size : -8] = footer * size
+        bad.write_bytes(bytes(data))
+    with pytest.raises(error, match=f"^{re.escape(str(bad))}: .*{message}"):
+        file_ranges([files[0], str(bad)])
+
+
 def _tags(ds):
     return {r["doc_id"]: r[SHARD_COL] for r in ds.take_all()}
 
 
-def test_pending_dataset_tags_files_and_hashes(tmp_path):
-    """The job's pending read tags rows exactly as the rules resume relies
-    on: a file-group shard's rows with their file's shard id, a hash
-    shard's rows with ``hash_str(doc_id) % n``, keeping pending shards
-    only."""
+def test_pending_dataset_tags_shard_ranges(tmp_path):
+    """The job's pending read tags each row with the shard whose range
+    holds it, over a directory (the ranges span files) and over one file
+    (three shards, two of them pending: the third's rows are never read)."""
     tbl = corpus.generate_corpus_table(40, seed=5)
     d = tmp_path / "many"
     d.mkdir()
     for k in range(5):
         pq.write_table(tbl.slice(8 * k, 8), d / f"part-{k}.parquet")
-    plans = checkpoint.plan_shards(str(d), 2)
-    got = _tags(checkpoint._pending_dataset(plans))
-    want = {
-        doc: p.shard_id
-        for p in plans for f in p.files
-        for doc in pq.read_table(f).column("doc_id").to_pylist()
-    }
-    assert got == want
-
     one = str(tmp_path / "one.parquet")
     pq.write_table(tbl, one)
-    plans = checkpoint.plan_shards(one, 3)
-    got = _tags(checkpoint._pending_dataset([plans[0], plans[2]]))
-    want = {
-        doc: hash_str(doc) % 3
-        for doc in tbl.column("doc_id").to_pylist() if hash_str(doc) % 3 in (0, 2)
-    }
-    assert got == want
+    ids = tbl.column("doc_id").to_pylist()
+    for path, n, pending, bounds in ((str(d), 2, [0, 1], [0, 20, 40]),
+                                     (one, 3, [0, 2], [0, 13, 26, 40])):
+        plans = checkpoint.plan_shards(path, n)
+        got = _tags(checkpoint._pending_dataset([plans[i] for i in pending]))
+        want = {doc: i for i in pending for doc in ids[bounds[i]:bounds[i + 1]]}
+        assert got == want

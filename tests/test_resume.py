@@ -3,6 +3,7 @@ partial writes never look complete (FIXTURES.md F4)."""
 
 import json
 import os
+import re
 import shutil
 
 import pyarrow.parquet as pq
@@ -86,22 +87,38 @@ def test_partial_write_not_committed(input_path, tmp_path):
     assert summary["shards_ran"] == [1]
 
 
+def _covered_rows(plans):
+    """(path, row) of every row the plans' ranges hold, in plan order."""
+    return [
+        (r["path"], row)
+        for p in plans for r in p.ranges
+        for row in range(r["start"], r["start"] + r["num_rows"])
+    ]
+
+
 def test_shard_plans_cover_input(input_path):
+    """A single file's shards are contiguous row ranges of equal size
+    that cover the file once, in order."""
     plans = plan_shards(input_path, N_SHARDS)
-    assert len(plans) == N_SHARDS
-    assert all(p.hash_mod is not None for p in plans)  # single file -> hash shards
+    assert [p.shard_id for p in plans] == list(range(N_SHARDS))
+    assert _covered_rows(plans) == [(input_path, i) for i in range(N_DOCS)]
+    assert [sum(r["num_rows"] for r in p.ranges) for p in plans] == [N_DOCS // N_SHARDS] * N_SHARDS
 
 
 def test_file_group_sharding(tmp_path):
+    """A directory's shards cut its files' rows, in file order, into
+    contiguous ranges of equal size that cover every row once; a range may
+    span files."""
     d = tmp_path / "many"
     d.mkdir()
     tbl = corpus.generate_corpus_table(20, seed=3)
     for i in range(6):
         pq.write_table(tbl.slice(i * 3, 3), d / f"f{i}.parquet")
-    plans = plan_shards(str(d), 3)
-    files = [f for p in plans for f in p.files]
-    assert len(files) == 6 and len(set(files)) == 6
-    assert all(p.files for p in plans)
+    plans = plan_shards(str(d), 4)
+    files = sorted(str(f) for f in d.iterdir())
+    assert _covered_rows(plans) == [(f, i) for f in files for i in range(3)]
+    assert [sum(r["num_rows"] for r in p.ranges) for p in plans] == [4, 5, 4, 5]
+    assert any(len(p.ranges) > 1 for p in plans)
 
 
 @pytest.mark.parametrize("n_shards", [0, -1])
@@ -291,7 +308,7 @@ def test_run_manifests_share_run_fields(input_path, tmp_path):
 
 
 def test_job_of_more_shards_than_one_run(tmp_path):
-    """A job of ``RUN_SHARDS + 1`` hash shards runs as two runs, the
+    """A job of ``RUN_SHARDS + 1`` shards runs as two runs, the
     second of one shard, so no partitioned write covers more shards than
     pyarrow's 1024-partition limit; every shard commits and every doc is
     written once."""
@@ -311,12 +328,24 @@ def test_job_of_more_shards_than_one_run(tmp_path):
     assert runs == [list(range(n - 1))] * (n - 1) + [[n - 1]]
 
 
+def _corrupt_pages(path):
+    """Overwrite the first column chunk's pages of the parquet file
+    ``path``, leaving its footer intact: it plans, and fails to read."""
+    md = pq.read_metadata(path)
+    size = md.row_group(0).column(0).total_compressed_size
+    data = bytearray(path.read_bytes())
+    data[4 : 4 + size] = b"\xff" * size  # the chunk starts after the b"PAR1" magic
+    path.write_bytes(bytes(data))
+    assert pq.read_metadata(path).num_rows == md.num_rows
+
+
 def test_poison_shard_holds_back_its_run(tmp_path, monkeypatch):
-    """A shard that always fails (a corrupt input file) keeps every other
-    shard of its run from committing: the run is retried whole
-    ``shard_retries + 1`` times, then raises, and the shards an earlier
-    run committed stay as they were. Smaller runs commit the shards of
-    the runs before the failing one."""
+    """A shard that always fails (an input file whose pages are corrupt
+    behind an intact footer) keeps every other shard of its run from
+    committing: the run is retried whole ``shard_retries + 1`` times,
+    then raises, and the shards an earlier run committed stay as they
+    were. Smaller runs commit the shards of the runs before the failing
+    one."""
     import ocr_platform_ray.checkpoint as cp
 
     in_dir = tmp_path / "in"
@@ -334,7 +363,7 @@ def test_poison_shard_holds_back_its_run(tmp_path, monkeypatch):
             kept[sid] = f.read()
     for sid in (1, 3):
         os.remove(os.path.join(out, "manifest", f"part-{sid:05d}.json"))
-    (in_dir / "f3.parquet").write_bytes(b"not a parquet file")
+    _corrupt_pages(in_dir / "f3.parquet")
 
     runs = []
     real_run = cp._run_pending
@@ -345,7 +374,7 @@ def test_poison_shard_holds_back_its_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cp, "_run_pending", spy_run)
     monkeypatch.setattr(cp, "_retry_delay_s", lambda *a: 0.0)
-    with pytest.raises(Exception, match="magic bytes"):
+    with pytest.raises(Exception, match="page header"):
         run_job(str(in_dir), out, n_shards=4, shard_retries=1)
     assert runs == [[1, 3], [1, 3]]
     assert completed_shards(out) == {0, 2}
@@ -355,10 +384,37 @@ def test_poison_shard_holds_back_its_run(tmp_path, monkeypatch):
 
     runs.clear()
     monkeypatch.setattr(cp, "RUN_SHARDS", 1)
-    with pytest.raises(Exception, match="magic bytes"):
+    with pytest.raises(Exception, match="page header"):
         run_job(str(in_dir), out, n_shards=4, shard_retries=1)
     assert runs == [[1], [3], [3]]
     assert completed_shards(out) == {0, 1, 2}
+
+
+def test_corrupt_footer_fails_at_planning(tmp_path, monkeypatch):
+    """A file whose footer does not parse fails the job at planning,
+    naming the file, before any run: no manifest is touched and no retry
+    is scheduled."""
+    import ocr_platform_ray.checkpoint as cp
+
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    docs = corpus.generate_docs(12, seed=3)
+    for k in range(2):
+        pq.write_table(corpus.docs_to_table(docs[k * 6 : (k + 1) * 6]), in_dir / f"f{k}.parquet")
+    out = tmp_path / "out"
+    run_job(str(in_dir), str(out), n_shards=2)
+    (out / "manifest" / "part-00001.json").unlink()
+    before = {m.name: m.read_text() for m in (out / "manifest").iterdir()}
+    bad = in_dir / "f1.parquet"
+    bad.write_bytes(b"not a parquet file")
+
+    def no_delay(*a):
+        raise AssertionError("a run was retried")
+
+    monkeypatch.setattr(cp, "_retry_delay_s", no_delay)
+    with pytest.raises(Exception, match=f"^{re.escape(str(bad))}: .*magic bytes"):
+        run_job(str(in_dir), str(out), n_shards=2)
+    assert {m.name: m.read_text() for m in (out / "manifest").iterdir()} == before
 
 
 def test_manifest_surfaces_span_errors(tmp_path):
@@ -467,6 +523,64 @@ def test_dedup_survivors_invalidate_on_new_input(tmp_path):
     assert all(m["doc_id"] in rows for m in more)
 
 
+@pytest.mark.parametrize("holder", ["a", "b"])
+def test_dedup_survivor_change_reruns_every_shard(tmp_path, holder):
+    """A new file holding a copy, under a smaller doc_id, of a doc in
+    ``holder`` makes the copy the survivor. Adding the file moves only
+    shard 1's range (shard 0 keeps ``a``'s four rows): with the original
+    in ``b`` its shard reruns anyway, with it in ``a`` only the survivor
+    change can rerun shard 0. Either way the original leaves the output,
+    and the resume equals a fresh run."""
+    d = tmp_path / "in"
+    d.mkdir()
+    docs = corpus.generate_docs(8, seed=31)
+    pq.write_table(corpus.docs_to_table(docs[:4]), d / "a.parquet")
+    pq.write_table(corpus.docs_to_table(docs[4:]), d / "b.parquet")
+    out = str(tmp_path / "out")
+    assert run_job(str(d), out, n_shards=2, dedup="exact")["n_docs"] == 8
+    original = docs[1 if holder == "a" else 5]
+    assert original["spans"]
+    pq.write_table(
+        corpus.docs_to_table([dict(original, doc_id="a-copy")]), d / "c.parquet"
+    )
+    summary = run_job(str(d), out, n_shards=2, dedup="exact")
+    fresh = str(tmp_path / "fresh")
+    assert run_job(str(d), fresh, n_shards=2, dedup="exact")["n_docs"] == 8
+    assert summary["n_docs"] == 8
+    rows = _read_all(out)
+    assert "a-copy" in rows and original["doc_id"] not in rows
+    assert rows == _read_all(fresh)
+
+
+@pytest.mark.parametrize("layout", ["file", "dir"])
+def test_grown_input_reruns_moved_shards(tmp_path, layout):
+    """A file that grows (a single input file 20 -> 40 docs; the last of
+    four 5-doc files 5 -> 25) moves the shards' row ranges: the resume
+    reruns them, and its output equals a fresh run over the grown input."""
+    docs = corpus.generate_docs(40, seed=17)
+    d = tmp_path / "in"
+    d.mkdir()
+    if layout == "file":
+        grown, before, after = d / "docs.parquet", docs[:20], docs
+        path = str(grown)
+    else:
+        for k in range(3):
+            pq.write_table(corpus.docs_to_table(docs[5 * k : 5 * k + 5]), d / f"f{k}.parquet")
+        grown, before, after = d / "f3.parquet", docs[15:20], docs[15:]
+        path = str(d)
+    pq.write_table(corpus.docs_to_table(before), grown)
+    out = str(tmp_path / "out")
+    assert run_job(path, out, n_shards=2)["n_docs"] == 20
+    pq.write_table(corpus.docs_to_table(after), grown)
+    summary = run_job(path, out, n_shards=2)
+    assert summary["shards_ran"] == [0, 1]
+    assert summary["n_docs"] == 40
+    fresh = str(tmp_path / "fresh")
+    run_job(path, fresh, n_shards=2)
+    assert _read_all(out) == _read_all(fresh)
+    assert len(_read_all(out)) == 40
+
+
 def test_all_flags_combined(tmp_path):
     """--two-phase + dedup='exact' + result_overrides compose: duplicates
     drop before detect, the detect checkpoint commits, and the surviving
@@ -545,14 +659,18 @@ def test_result_edit_keeps_dead_letters_and_tenant(tmp_path):
 
 def test_invalidate_doc_ids_reruns_owning_shard_only(input_path, tmp_path):
     """Per-document rerun hook (reference requeue/rerun): only the shard
-    owning the doc recomputes; every other checkpoint is reused byte-same."""
-    from ocr_platform_ray.rng import hash_str
-
+    whose planned row range holds the doc recomputes; every other
+    checkpoint is reused byte-same."""
     out = str(tmp_path / "out")
     run_job(input_path, out, n_shards=N_SHARDS)
     before = _read_all(out)
-    target = "doc-00000005"
-    own = hash_str(target) % N_SHARDS
+    target = "doc-00000021"
+    row = pq.read_table(input_path, columns=["doc_id"]).column("doc_id").to_pylist().index(target)
+    (own,) = [
+        p.shard_id for p in plan_shards(input_path, N_SHARDS)
+        if any(r["start"] <= row < r["start"] + r["num_rows"] for r in p.ranges)
+    ]
+    assert own == 1
     summary = run_job(
         input_path, out, n_shards=N_SHARDS,
         invalidate_doc_ids=[target],
@@ -566,7 +684,8 @@ def test_invalidate_doc_ids_reruns_owning_shard_only(input_path, tmp_path):
 
 
 def test_invalidate_doc_ids_file_shards(tmp_path):
-    """File-group shards resolve ownership from the files' doc_id column."""
+    """Over a directory, a doc's owner is the shard whose row range holds
+    it, found from the doc_id column of the shards' ranges."""
     import pyarrow as pa
 
     from ocr_platform_ray import corpus as _corpus

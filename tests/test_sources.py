@@ -109,9 +109,9 @@ def test_read_corpus_reads_parquet_paths_as_parquet_with_lance(monkeypatch, tmp_
     planned = []
     plan_reads = pipeline.plan_reads
 
-    def spy(files, *a, **k):
-        planned.append(files)
-        return plan_reads(files, *a, **k)
+    def spy(ranges, *a, **k):
+        planned.append([r["path"] for r in ranges])
+        return plan_reads(ranges, *a, **k)
 
     monkeypatch.setitem(sys.modules, "lance", types.ModuleType("lance"))
     monkeypatch.setattr(rd, "read_lance", no_lance)
